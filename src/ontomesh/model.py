@@ -12,7 +12,10 @@ internalization concepts and the property hierarchy.
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 UnitId = str
 
@@ -25,11 +28,72 @@ class ModelError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+
+class _Interned:
+    """Immutable hash-consed value (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006).
+
+    Each concrete class lists its fields first in its own ``__slots__`` and
+    calls ``_intern`` from ``__new__``.  Structurally equal values are one
+    object, so equality is identity.  The canonical key string and the hash
+    (the same value a frozen dataclass would compute) are built once, when
+    the value is first made.  The table holds its values weakly: a value
+    lives as long as something outside the table refers to it.
+    """
+
+    __slots__ = ("_key", "_hash", "__weakref__")
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    # a miss builds a candidate, then inserts it unless another thread
+    # has inserted an equal value in the meantime
+    _insert_lock = threading.Lock()
+
+    @classmethod
+    def _intern(cls, fields: tuple):
+        ident = (cls, fields)
+        obj = _Interned._table.get(ident)
+        if obj is not None:
+            return obj
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "_hash", hash(fields))
+        object.__setattr__(obj, "_key", obj._make_key())
+        with _Interned._insert_lock:
+            return _Interned._table.setdefault(ident, obj)
+
+    def _make_key(self) -> str:
+        raise NotImplementedError
+
+    def key(self) -> str:
+        return self._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+
+
+# sort key for concepts and properties: the cached canonical key string
+by_key = attrgetter("_key")
+
+
+# ---------------------------------------------------------------------------
 # Properties (roles and link relations)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Property:
+class Property(_Interned):
     """A role (home == target) or a link relation (home != target).
 
     The same name may be declared both as a role of a unit and as a link
@@ -37,14 +101,16 @@ class Property:
     home unit.  Only roles have inverses.
     """
 
-    name: str
-    home: UnitId
-    target: UnitId
-    inverted: bool = False
+    # _inverse keeps a role's inverse alive with it: the tableau asks for
+    # it on every successor lookup, and a weakly interned inverse would
+    # be rebuilt each time
+    __slots__ = ("name", "home", "target", "inverted", "_inverse")
 
-    def __post_init__(self):
-        if self.inverted and self.home != self.target:
-            raise ModelError(f"link relation {self.name} cannot be inverted")
+    def __new__(cls, name: str, home: UnitId, target: UnitId,
+                inverted: bool = False):
+        if inverted and home != target:
+            raise ModelError(f"link relation {name} cannot be inverted")
+        return cls._intern((name, home, target, inverted))
 
     @property
     def is_role(self) -> bool:
@@ -53,176 +119,184 @@ class Property:
     def inverse(self) -> "Property":
         if not self.is_role:
             raise ModelError(f"no inverse for link relation {self.name}")
-        return Property(self.name, self.home, self.target, not self.inverted)
+        try:
+            return self._inverse
+        except AttributeError:
+            inv = Property(self.name, self.home, self.target, not self.inverted)
+            object.__setattr__(self, "_inverse", inv)
+            object.__setattr__(inv, "_inverse", self)
+            return inv
 
-    def key(self) -> str:
+    def __reduce__(self):
+        return Property, (self.name, self.home, self.target, self.inverted)
+
+    def _make_key(self) -> str:
         inv = "inv " if self.inverted else ""
         if self.is_role:
             return f"{inv}{self.home}:{self.name}"
         return f"{self.home}:{self.name}->{self.target}"
-
-    def __repr__(self):
-        return self.key()
 
 
 # ---------------------------------------------------------------------------
 # Concepts
 # ---------------------------------------------------------------------------
 
-class Concept:
-    """Base class; all concrete concepts are frozen dataclasses."""
+class Concept(_Interned):
+    """Base class; every concrete concept is interned, so two equal
+    concepts are the same object."""
+
+    __slots__ = ()
 
     @property
     def home(self) -> UnitId:
         raise NotImplementedError
 
-    def key(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.key()
-
     def __lt__(self, other: "Concept"):
-        return self.key() < other.key()
+        return self._key < other._key
 
 
-@dataclass(frozen=True, repr=False)
 class Top(Concept):
-    unit: UnitId
+    __slots__ = ("unit",)
+
+    def __new__(cls, unit: UnitId):
+        return cls._intern((unit,))
 
     @property
     def home(self):
         return self.unit
 
-    def key(self):
+    def _make_key(self):
         return f"{self.unit}:*top*"
 
 
-@dataclass(frozen=True, repr=False)
 class Bottom(Concept):
-    unit: UnitId
+    __slots__ = ("unit",)
+
+    def __new__(cls, unit: UnitId):
+        return cls._intern((unit,))
 
     @property
     def home(self):
         return self.unit
 
-    def key(self):
+    def _make_key(self):
         return f"{self.unit}:*bot*"
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Concept):
-    unit: UnitId
-    name: str
+    __slots__ = ("unit", "name")
+
+    def __new__(cls, unit: UnitId, name: str):
+        return cls._intern((unit, name))
 
     @property
     def home(self):
         return self.unit
 
-    def key(self):
+    def _make_key(self):
         return f"{self.unit}:{self.name}"
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Concept):
-    operand: Concept
+    __slots__ = ("operand",)
+
+    def __new__(cls, operand: Concept):
+        return cls._intern((operand,))
 
     @property
     def home(self):
         return self.operand.home
 
-    def key(self):
-        return f"(not {self.operand.key()})"
+    def _make_key(self):
+        return f"(not {self.operand._key})"
 
 
-@dataclass(frozen=True, repr=False)
 class And(Concept):
-    left: Concept
-    right: Concept
-    unit: UnitId
+    __slots__ = ("left", "right", "unit")
+
+    def __new__(cls, left: Concept, right: Concept, unit: UnitId):
+        return cls._intern((left, right, unit))
 
     @property
     def home(self):
         return self.unit
 
-    def key(self):
-        return f"(and@{self.unit} {self.left.key()} {self.right.key()})"
+    def _make_key(self):
+        return f"(and@{self.unit} {self.left._key} {self.right._key})"
 
 
-@dataclass(frozen=True, repr=False)
 class Or(Concept):
-    left: Concept
-    right: Concept
-    unit: UnitId
+    __slots__ = ("left", "right", "unit")
+
+    def __new__(cls, left: Concept, right: Concept, unit: UnitId):
+        return cls._intern((left, right, unit))
 
     @property
     def home(self):
         return self.unit
 
-    def key(self):
-        return f"(or@{self.unit} {self.left.key()} {self.right.key()})"
+    def _make_key(self):
+        return f"(or@{self.unit} {self.left._key} {self.right._key})"
 
 
-@dataclass(frozen=True, repr=False)
 class Exists(Concept):
-    prop: Property
-    filler: Concept
+    __slots__ = ("prop", "filler")
+
+    def __new__(cls, prop: Property, filler: Concept):
+        return cls._intern((prop, filler))
 
     @property
     def home(self):
         return self.prop.home
 
-    def key(self):
-        return f"(some {self.prop.key()} {self.filler.key()})"
+    def _make_key(self):
+        return f"(some {self.prop._key} {self.filler._key})"
 
 
-@dataclass(frozen=True, repr=False)
 class ForAll(Concept):
-    prop: Property
-    filler: Concept
+    __slots__ = ("prop", "filler")
+
+    def __new__(cls, prop: Property, filler: Concept):
+        return cls._intern((prop, filler))
 
     @property
     def home(self):
         return self.prop.home
 
-    def key(self):
-        return f"(all {self.prop.key()} {self.filler.key()})"
+    def _make_key(self):
+        return f"(all {self.prop._key} {self.filler._key})"
 
 
-@dataclass(frozen=True, repr=False)
 class AtLeast(Concept):
-    n: int
-    prop: Property
-    filler: Concept
+    __slots__ = ("n", "prop", "filler")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, prop: Property, filler: Concept):
+        if n < 1:
             raise ModelError("at-least restriction needs n >= 1")
+        return cls._intern((n, prop, filler))
 
     @property
     def home(self):
         return self.prop.home
 
-    def key(self):
-        return f"(min {self.n} {self.prop.key()} {self.filler.key()})"
+    def _make_key(self):
+        return f"(min {self.n} {self.prop._key} {self.filler._key})"
 
 
-@dataclass(frozen=True, repr=False)
 class AtMost(Concept):
-    n: int
-    prop: Property
-    filler: Concept
+    __slots__ = ("n", "prop", "filler")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, prop: Property, filler: Concept):
+        if n < 0:
             raise ModelError("at-most restriction needs n >= 0")
+        return cls._intern((n, prop, filler))
 
     @property
     def home(self):
         return self.prop.home
 
-    def key(self):
-        return f"(max {self.n} {self.prop.key()} {self.filler.key()})"
+    def _make_key(self):
+        return f"(max {self.n} {self.prop._key} {self.filler._key})"
 
 
 def make_and(operands: list[Concept], unit: UnitId) -> Concept:
@@ -233,7 +307,7 @@ def make_and(operands: list[Concept], unit: UnitId) -> Concept:
             flat.extend(_flatten(c, And))
         else:
             flat.append(c)
-    flat = sorted(set(flat), key=lambda c: c.key())
+    flat = sorted(set(flat), key=by_key)
     if not flat:
         return Top(unit)
     out = flat[-1]
@@ -249,7 +323,7 @@ def make_or(operands: list[Concept], unit: UnitId) -> Concept:
             flat.extend(_flatten(c, Or))
         else:
             flat.append(c)
-    flat = sorted(set(flat), key=lambda c: c.key())
+    flat = sorted(set(flat), key=by_key)
     if not flat:
         return Bottom(unit)
     out = flat[-1]
@@ -451,7 +525,7 @@ class DistributedKB:
     unit_order: list[UnitId] = field(default_factory=list)
     # derived
     _neighbors: dict[UnitId, set[UnitId]] = field(default_factory=dict)
-    _subsumers: dict[Property, set[Property]] = field(default_factory=dict)
+    _subsumers: dict[Property, frozenset[Property]] = field(default_factory=dict)
     _transitive: set[Property] = field(default_factory=set)
     _internalizations: dict[UnitId, Concept] = field(default_factory=dict)
 
@@ -517,7 +591,7 @@ class DistributedKB:
                     if r not in seen:
                         seen.add(r)
                         frontier.append(r)
-            self._subsumers[p] = seen
+            self._subsumers[p] = frozenset(seen)
 
         # transitivity: Trans(R) on roles, Trans(E,(i,j)) on punned links.
         # a transitive punned link also makes its role side transitive,
@@ -543,10 +617,12 @@ class DistributedKB:
         in either direction connects the two peers."""
         return set(self._neighbors[unit])
 
-    def subsumers(self, p: Property) -> set[Property]:
+    def subsumers(self, p: Property) -> frozenset[Property]:
         """All Q with p included in Q under the reflexive-transitive closure
-        of the property hierarchy, restricted to p's (home, target) pair."""
-        return set(self._subsumers.get(p, {p}))
+        of the property hierarchy, restricted to p's (home, target) pair.
+        The stored set itself, not a copy."""
+        sups = self._subsumers.get(p)
+        return frozenset((p,)) if sups is None else sups
 
     def sub_properties(self, p: Property) -> set[Property]:
         """All Q included in p, reflexively."""

@@ -114,8 +114,7 @@ class Taxonomy:
 
     def roots(self) -> list[str]:
         non_roots = {a for a, _ in self.edges}
-        return sorted(r for r in self.classes if r not in non_roots
-                      or all(a != r for a, _ in self.edges))
+        return sorted(r for r in self.classes if r not in non_roots)
 
 
 class Peer:
@@ -270,8 +269,6 @@ class Peer:
                 return cached
             self.metrics.cache_misses += 1
         self.metrics.packages_sent += 1
-        origin = pkg.items[0].trigger_origin or self.unit
-        self.metrics.projections_triggered += 0  # attributed via router
         outcomes, final = self.router.dispatch(pkg, parent_request)
         if self.config.use_cache and final:
             self.cache.store(pkg.to, pkg, outcomes)

@@ -32,6 +32,7 @@ from .model import (
     Property,
     Top,
     UnitKB,
+    by_key,
     nnf,
 )
 from .tableau import (
@@ -299,7 +300,7 @@ def response_literals(graph: CompletionGraph, node: int,
         if isinstance(c, Atom) or (isinstance(c, Not)
                                    and isinstance(c.operand, Atom)):
             out.append(c)
-    return tuple(sorted(out, key=lambda c: c.key()))
+    return tuple(sorted(out, key=by_key))
 
 
 # ---------------------------------------------------------------------------

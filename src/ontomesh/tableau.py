@@ -34,6 +34,7 @@ from .model import (
     Property,
     Top,
     UnitId,
+    by_key,
     neg,
     nnf,
     subconcepts,
@@ -111,7 +112,7 @@ class Node:
         return n
 
     def sorted_label(self) -> list[Concept]:
-        return sorted(self.label, key=lambda c: c.key())
+        return sorted(self.label, key=by_key)
 
 
 @dataclass
@@ -235,7 +236,7 @@ class CompletionGraph:
         return {c for c in self.nodes[node].label if c.home != self.unit}
 
     def fragment(self, node: NodeId) -> tuple[Concept, ...]:
-        return tuple(sorted(self.foreign_part(node), key=lambda c: c.key()))
+        return tuple(sorted(self.foreign_part(node), key=by_key))
 
     # -- successor machinery ------------------------------------------------------
 
@@ -457,7 +458,7 @@ def _trans_rule(g: CompletionGraph):
     """Chains over a transitive property collapse into a direct edge; a
     punned transitive name also collapses role chains ending in one link
     step into a direct link edge."""
-    for t in sorted(g.kb.transitive_properties(), key=lambda p: p.key()):
+    for t in sorted(g.kb.transitive_properties(), key=by_key):
         if t.is_role:
             step = {x: g.successors(x, t) for x in g.nodes}
         else:

@@ -212,3 +212,149 @@ def test_punned_variants():
     link = Property("presentedAt", "u1", "u4")
     assert kb.is_punned(role) and kb.is_punned(link)
     assert kb.punned_variants(role) == {role, link}
+
+
+# -- hash-consing ---------------------------------------------------------------
+
+def _fresh(s):
+    """An equal string built at run time rather than a shared literal
+    (CPython still shares one-character strings)."""
+    return "".join(list(s))
+
+
+E = Property("e", "u1", "u2")
+D = Atom("u2", "D")
+
+# (builder, golden key) for one sample of each constructor; the builder is
+# called twice so that each call allocates its own field values
+_SAMPLES = [
+    (lambda: Property(_fresh("r"), "u1", "u1", True), "inv u1:r"),
+    (lambda: Property(_fresh("e"), "u1", _fresh("u2")), "u1:e->u2"),
+    (lambda: Top(_fresh("u1")), "u1:*top*"),
+    (lambda: Bottom(_fresh("u2")), "u2:*bot*"),
+    (lambda: Atom(_fresh("u1"), _fresh("A")), "u1:A"),
+    (lambda: Not(Atom("u1", _fresh("A"))), "(not u1:A)"),
+    (lambda: And(A, Atom("u1", _fresh("B")), "u1"), "(and@u1 u1:A u1:B)"),
+    (lambda: Or(B, Not(Atom("u1", "C")), _fresh("u1")),
+     "(or@u1 u1:B (not u1:C))"),
+    (lambda: Exists(Property("r", "u1", "u1"), B), "(some u1:r u1:B)"),
+    (lambda: ForAll(R.inverse(), A), "(all inv u1:r u1:A)"),
+    (lambda: AtLeast(2, R, Atom("u1", "A")), "(min 2 u1:r u1:A)"),
+    (lambda: AtMost(0, Property("e", "u1", "u2"), Atom("u2", "D")),
+     "(max 0 u1:e->u2 u2:D)"),
+]
+
+
+@pytest.mark.parametrize("build,golden", _SAMPLES, ids=[g for _, g in _SAMPLES])
+def test_equal_values_are_one_object(build, golden):
+    one, two = build(), build()
+    assert one is two
+    assert hash(one) == hash(two)
+    assert one.key() == repr(one) == golden
+
+
+def test_property_construction_forms_intern_together():
+    p = Property("r", "u1", "u1")
+    assert Property("r", "u1", "u1", False) is p
+    assert Property(name="r", home="u1", target="u1", inverted=False) is p
+    inv = Property("r", "u1", "u1", inverted=True)
+    assert Property("r", "u1", "u1", True) is inv
+    assert p.inverse() is inv and inv.inverse() is p
+    assert inv is not p
+
+
+def test_model_errors_still_raised():
+    with pytest.raises(ModelError):
+        AtLeast(0, R, A)
+    with pytest.raises(ModelError):
+        AtMost(-1, R, A)
+    with pytest.raises(ModelError):
+        Property("e", "u1", "u2", inverted=True)
+    with pytest.raises(ModelError):
+        E.inverse()
+
+
+@pytest.mark.parametrize("value,attr", [
+    (A, "name"), (Not(A), "operand"), (And(A, B, "u1"), "unit"),
+    (AtMost(1, R, A), "n"), (R, "inverted"), (A, "extra"),
+])
+def test_interned_values_are_immutable(value, attr):
+    before = value.key()
+    with pytest.raises(AttributeError):
+        setattr(value, attr, "x")
+    with pytest.raises(AttributeError):
+        delattr(value, attr)
+    assert value.key() == before
+
+
+def test_copy_and_pickle_keep_identity():
+    import copy
+    import pickle
+
+    c = make_or([ForAll(R, B), AtLeast(2, E, D)], "u1")
+    assert copy.copy(c) is c
+    assert copy.deepcopy(c) is c
+    assert pickle.loads(pickle.dumps(c)) is c
+    assert pickle.loads(pickle.dumps(R.inverse())) is R.inverse()
+
+
+def test_unreferenced_values_leave_the_table():
+    import gc
+    import weakref
+
+    ref = weakref.ref(Atom("u1", "OnlyHere"))
+    gc.collect()
+    assert ref() is None
+
+
+def test_role_keeps_its_inverse_alive():
+    import gc
+    import weakref
+
+    role = Property("onlyHere", "u1", "u1")
+    ref = weakref.ref(role.inverse())
+    gc.collect()
+    assert ref() is role.inverse()
+    assert ref().inverse() is role
+
+
+def test_make_and_make_or_canonical_nesting():
+    C = Atom("u1", "C")
+    assert make_and([C, A, B, A], "u1").key() == \
+        "(and@u1 u1:A (and@u1 u1:B u1:C))"
+    assert make_and([C, A, B, A], "u1") is make_and([A, B, C], "u1")
+    assert make_or([Or(C, B, "u1"), A, Not(A)], "u1").key() == \
+        "(or@u1 (not u1:A) (or@u1 u1:A (or@u1 u1:B u1:C)))"
+    assert make_and([And(B, A, "u1"), Exists(R, C)], "u1").key() == \
+        "(and@u1 (some u1:r u1:C) (and@u1 u1:A u1:B))"
+    assert sorted([C, Not(A), A, Top("u1"), Exists(R, B)]) == \
+        [Not(A), Exists(R, B), Top("u1"), A, C]
+
+
+def test_concurrent_interning_yields_one_object():
+    import sys
+    import threading
+
+    rounds, workers = 200, 4
+    got = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def build(out):
+        start.wait()
+        for i in range(rounds):
+            out.append(Exists(Property(f"race{i}", "u1", "u1"),
+                              Atom("u1", f"Race{i}")))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(rounds):
+        assert all(out[i] is got[0][i] for out in got)
