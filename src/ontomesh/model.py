@@ -667,9 +667,6 @@ class DistributedKB:
                 out.add(Property(ld.name, p.home, ld.target_unit))
         return out
 
-    def declared_links(self, unit: UnitId) -> list[LinkDecl]:
-        return list(self.couplings[unit].links)
-
     def link_property(self, unit: UnitId, name: str) -> Property | None:
         for ld in self.couplings[unit].links:
             if ld.name == name:
@@ -846,7 +843,3 @@ class DistributedKB:
         if p.is_role:
             return p.name in home.role_names
         return self.link_property(p.home, p.name) is not None
-
-
-def fresh_unit(unit: UnitId, **kw) -> UnitKB:
-    return UnitKB(unit=unit, **kw)

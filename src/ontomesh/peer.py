@@ -155,15 +155,18 @@ class Peer:
         if not self._doomed:
             return None
         node = graph.nodes[node_id]
-        foreign = graph.foreign_part(node_id)
+        foreign = set()
+        homes = set()
+        for c in node.label:
+            if c.home != graph.unit:
+                foreign.add(c)
+                homes.add(c.home)
         if not foreign:
             return None
-        parts = graph.parts(node_id)
         for dest, entries in self._doomed.items():
             st = node.corr.get(dest)
             named = st.target_individual if st is not None else None
-            will_project = bool(parts.get(dest)) or named is not None
-            if not will_project:
+            if dest not in homes and named is None:
                 continue
             for frag, target in entries:
                 if target == named and frag <= foreign:
@@ -247,18 +250,13 @@ class Peer:
     def _package(self, obligations, origin):
         packages = build_packages(obligations, self.unit, origin,
                                   self._pkg_counter, self.holes)
-        slots: list[tuple[int, int] | None] = [None] * len(obligations)
-        for i, ob in enumerate(obligations):
-            for p_idx, pkg in enumerate(packages):
-                if pkg.to != ob.dest_unit:
-                    continue
-                for it_idx, item in enumerate(pkg.items):
-                    if (item.source_node == ob.node
-                            and item.fragment == ob.fragment):
-                        slots[i] = (p_idx, it_idx)
-                        break
-                if slots[i] is not None:
-                    break
+        where: dict[tuple, tuple[int, int]] = {}
+        for p_idx, pkg in enumerate(packages):
+            for it_idx, item in enumerate(pkg.items):
+                where.setdefault((pkg.to, item.source_node, item.fragment),
+                                 (p_idx, it_idx))
+        slots = [where.get((ob.dest_unit, ob.node, ob.fragment))
+                 for ob in obligations]
         return packages, slots
 
     def _send_package(self, pkg: ProjectionPackage, parent_request):

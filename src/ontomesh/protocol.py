@@ -39,7 +39,6 @@ from .tableau import (
     Aborted,
     BudgetExceeded,
     CompletionGraph,
-    CorrState,
     Obligation,
     Outcome,
     expand_to_completion,
@@ -255,11 +254,6 @@ class ProjectionCache:
                 raise CacheOverflow("projection cache exceeded its byte budget")
             self._store[key] = outcomes
 
-    def reset_counters(self):
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-
 
 # ---------------------------------------------------------------------------
 # packaging
@@ -373,8 +367,8 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
         if node_id is None:
             node = copy.new_node(("projected", requester, item.source_node))
             node_id = node.id
-        st = copy.nodes[node_id].corr.setdefault(requester, CorrState())
-        st.requester = (requester, item.source_node)
+        copy.set_corr(node_id, requester,
+                      requester=(requester, item.source_node))
         for c in item.fragment:
             copy.add_label(node_id, c)
         placed.append(node_id)

@@ -11,6 +11,15 @@ Link successors are created locally in this chunk (the foreign filler goes
 into the foreign part of the new node's label) and reach the neighbor peer
 through projection, so a branch expands entirely locally before any
 message leaves.
+
+Expansion is incremental.  Every node carries a version drawn from a
+per-graph counter that never goes back (clones share it); any change that a
+rule or clash check at the node can see (its own label, edges, distinct
+set or correspondences, or those of a neighbor) gives it a fresh one, and
+snapshots carry versions, so a (node, version) pair always names one state
+of the node's one-hop neighbourhood.  The engine remembers the (node,
+version, blocked kind) keys at which a rule phase or a clash check found
+nothing and skips them, which keeps the firing order of a full rescan.
 """
 
 from __future__ import annotations
@@ -70,6 +79,11 @@ class Blocked:
         return self.kind != "none"
 
 
+UNBLOCKED = Blocked("none")
+DIRECT = Blocked("direct")
+INDIRECT = Blocked("indirect")
+
+
 @dataclass
 class CorrState:
     """Projection bookkeeping of one node toward one foreign unit."""
@@ -84,7 +98,8 @@ class CorrState:
 
 
 class Node:
-    __slots__ = ("id", "unit", "label", "origin", "parent", "distinct", "corr")
+    __slots__ = ("id", "unit", "label", "origin", "parent", "distinct", "corr",
+                 "ver")
 
     def __init__(self, id: NodeId, unit: UnitId, origin: tuple,
                  parent: NodeId | None = None):
@@ -95,6 +110,7 @@ class Node:
         self.parent = parent
         self.distinct: set[NodeId] = set()
         self.corr: dict[UnitId, CorrState] = {}
+        self.ver = 0
 
     @property
     def generated(self) -> bool:
@@ -109,6 +125,7 @@ class Node:
         n.label = set(self.label)
         n.distinct = set(self.distinct)
         n.corr = {u: c.clone() for u, c in self.corr.items()}
+        n.ver = self.ver
         return n
 
     def sorted_label(self) -> list[Concept]:
@@ -151,6 +168,13 @@ class CompletionGraph:
         self.clash_oracle = None
         self._rev = 0
         self._block_cache: dict[NodeId, tuple[int, Blocked]] = {}
+        # node and edge versions; see the module docstring
+        self._clock = itertools.count(1)
+        self.edge_ver = 0
+        # per _find_action phase after the ce rule, the keys at which its
+        # rules found nothing: (node, ver, blocked kind), and edge versions
+        # for the trans phase
+        self._rule_memo = (set(), set(), set(), set())
 
     # -- construction and mutation -------------------------------------------
 
@@ -158,6 +182,7 @@ class CompletionGraph:
         if len(self.nodes) >= self.max_nodes:
             raise BudgetExceeded(f"more than {self.max_nodes} nodes")
         node = Node(self.next_id, self.unit, origin, parent)
+        node.ver = next(self._clock)
         self.next_id += 1
         self.nodes[node.id] = node
         self.out_e[node.id] = {}
@@ -170,6 +195,7 @@ class CompletionGraph:
             return False
         self.nodes[node].label.add(c)
         self._rev += 1
+        self._bump_around(node)
         return True
 
     def add_edge(self, a: NodeId, b: NodeId, prop: Property) -> bool:
@@ -181,6 +207,7 @@ class CompletionGraph:
         labels.add(prop)
         self.in_e[b].setdefault(a, set()).add(prop)
         self._rev += 1
+        self.edge_ver = self.nodes[a].ver = self.nodes[b].ver = next(self._clock)
         return True
 
     def set_distinct(self, a: NodeId, b: NodeId):
@@ -188,6 +215,27 @@ class CompletionGraph:
             self.nodes[a].distinct.add(b)
             self.nodes[b].distinct.add(a)
             self._rev += 1
+            self._bump_around(a, b)
+
+    def set_corr(self, node: NodeId, unit: UnitId, **fields) -> None:
+        """Set fields of the node's correspondence state toward unit,
+        creating it if needed.  Every corr write goes through here, because
+        rules at the node and its neighbors read corr."""
+        st = self.nodes[node].corr.setdefault(unit, CorrState())
+        for name, value in fields.items():
+            setattr(st, name, value)
+        self._bump_around(node)
+
+    def _bump_around(self, *xs: NodeId) -> None:
+        """Fresh version for each node in xs and for its neighbors."""
+        v = next(self._clock)
+        nodes = self.nodes
+        for x in xs:
+            nodes[x].ver = v
+            for y in self.out_e[x]:
+                nodes[y].ver = v
+            for y in self.in_e[x]:
+                nodes[y].ver = v
 
     # -- snapshots -------------------------------------------------------------
 
@@ -197,10 +245,11 @@ class CompletionGraph:
             {i: {j: set(s) for j, s in d.items()} for i, d in self.out_e.items()},
             {i: {j: set(s) for j, s in d.items()} for i, d in self.in_e.items()},
             self.next_id,
+            self.edge_ver,
         )
 
     def restore(self, snap):
-        nodes, out_e, in_e, next_id = snap
+        nodes, out_e, in_e, next_id, self.edge_ver = snap
         self.nodes = {i: n.clone() for i, n in nodes.items()}
         self.out_e = {i: {j: set(s) for j, s in d.items()} for i, d in out_e.items()}
         self.in_e = {i: {j: set(s) for j, s in d.items()} for i, d in in_e.items()}
@@ -217,6 +266,8 @@ class CompletionGraph:
         g.in_e = {i: {j: set(s) for j, s in d.items()}
                   for i, d in self.in_e.items()}
         g.next_id = self.next_id
+        g._clock = self._clock
+        g.edge_ver = self.edge_ver
         g.branch_stack = [BranchPoint(bp.kind, bp.node, list(bp.alternatives),
                                       bp.snapshot)
                           for bp in self.branch_stack]
@@ -268,6 +319,9 @@ class CompletionGraph:
     # -- blocking ------------------------------------------------------------------
 
     def blocked(self, x: NodeId) -> Blocked:
+        node = self.nodes[x]
+        if node.parent is None and node.origin[0] != "projected":
+            return UNBLOCKED  # roots, individuals and placeholders never block
         cached = self._block_cache.get(x)
         if cached and cached[0] == self._rev:
             return cached[1]
@@ -280,16 +334,16 @@ class CompletionGraph:
         anc = node.parent
         while anc is not None:
             if self._directly_blocked(anc):
-                return Blocked("indirect")
+                return INDIRECT
             anc = self.nodes[anc].parent
         if self._directly_blocked(x):
-            return Blocked("direct")
-        return Blocked("none")
+            return DIRECT
+        return UNBLOCKED
 
     def _directly_blocked(self, x: NodeId) -> bool:
         node = self.nodes[x]
         if node.projected:
-            for y, other in sorted(self.nodes.items()):
+            for y, other in self.nodes.items():
                 if y < x and node.label <= other.label:
                     return True
             return False
@@ -399,16 +453,15 @@ def init_graph(kb: DistributedKB, unit: UnitId, goal: Concept | None = None,
     coup = kb.couplings[unit]
     for ic in sorted(coup.individual_correspondences,
                      key=lambda c: (c.local_name, c.foreign_unit, c.foreign_name)):
-        node = g.nodes[by_name[ic.local_name]]
-        node.corr[ic.foreign_unit] = CorrState(
-            target_individual=ic.foreign_name)
+        g.set_corr(by_name[ic.local_name], ic.foreign_unit,
+                   target_individual=ic.foreign_name)
     for la in sorted(coup.link_assertions,
                      key=lambda a: (a.local_ind, a.link, a.target_unit,
                                     a.foreign_ind)):
         prop = kb.link_property(unit, la.link)
         placeholder = g.new_node(("foreign", la.target_unit, la.foreign_ind))
-        placeholder.corr[la.target_unit] = CorrState(
-            target_individual=la.foreign_ind)
+        g.set_corr(placeholder.id, la.target_unit,
+                   target_individual=la.foreign_ind)
         g.add_edge(by_name[la.local_ind], placeholder.id, prop)
     return g
 
@@ -589,47 +642,66 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
     del g.in_e[gone]
     del g.nodes[gone]
     g._rev += 1
+    v = g.edge_ver = next(g._clock)
+    for n in g.nodes.values():
+        n.ver = v
 
 
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
-def _find_action(g: CompletionGraph):
-    ids = sorted(g.nodes)
-    for x in ids:
-        if not g.blocked(x) and apply_ce_could(g, x):
-            return ("ce", x)
-    for x in ids:
-        b = g.blocked(x)
-        if not b:
-            act = _and_rule(g, x)
-            if act:
-                return act
-        if b.kind != "indirect":
-            act = _forall_rule(g, x)
-            if act:
-                return act
-    act = _trans_rule(g)
-    if act:
-        return act
-    for x in ids:
-        if g.blocked(x):
+def _local_phase(g: CompletionGraph, x: NodeId, b: Blocked):
+    act = None if b else _and_rule(g, x)
+    if not act and b.kind != "indirect":
+        act = _forall_rule(g, x)
+    return act
+
+
+def _generate_phase(g: CompletionGraph, x: NodeId, b: Blocked):
+    return None if b else _exists_rule(g, x) or _atleast_rule(g, x)
+
+
+def _branch_phase(g: CompletionGraph, x: NodeId, b: Blocked):
+    act = None if b else _or_rule(g, x) or _choose_rule(g, x)
+    if not act and b.kind != "indirect":
+        act = _atmost_rule(g, x)
+    return act
+
+
+def _scan(g: CompletionGraph, keyed: list, memo: set, phase):
+    """First action of one phase over keyed, (node, blocked status, memo
+    key) in node-id order.  Nodes whose key is in memo are skipped; keys
+    where the phase finds nothing are added to it."""
+    for x, b, key in keyed:
+        if key in memo:
             continue
-        act = _exists_rule(g, x) or _atleast_rule(g, x)
+        act = phase(g, x, b)
         if act:
             return act
-    for x in ids:
-        b = g.blocked(x)
-        if not b:
-            act = _or_rule(g, x) or _choose_rule(g, x)
-            if act:
-                return act
-        if b.kind != "indirect":
-            act = _atmost_rule(g, x)
-            if act:
-                return act
+        memo.add(key)
     return None
+
+
+def _find_action(g: CompletionGraph):
+    nodes = g.nodes
+    keyed = []
+    for x in sorted(nodes):
+        b = g.blocked(x)
+        if not b and apply_ce_could(g, x):  # one set lookup: no memo needed
+            return ("ce", x)
+        keyed.append((x, b, (x, nodes[x].ver, b.kind)))
+    local, trans, generate, branch = g._rule_memo
+    act = _scan(g, keyed, local, _local_phase)
+    if act:
+        return act
+    if g.edge_ver not in trans:
+        act = _trans_rule(g)
+        if act:
+            return act
+        trans.add(g.edge_ver)
+    return (_scan(g, keyed, generate, _generate_phase)
+            or _scan(g, keyed, branch, _branch_phase))
 
 
 def apply_ce_could(g: CompletionGraph, x: NodeId) -> bool:
@@ -688,14 +760,45 @@ def _backtrack(g: CompletionGraph) -> bool:
     return False
 
 
+def _next_clash(g: CompletionGraph,
+                clash_free: dict[tuple[NodeId, int], bool]) -> ClashInfo | None:
+    """first_clash() over the nodes without a clash-free record for their
+    version.  A record made while the node was unblocked (True) also holds
+    the clash oracle's answer, so it covers either blocked state; one made
+    while it was blocked (False) holds only while it stays blocked."""
+    nodes = g.nodes
+    for x in sorted(nodes):
+        key = (x, nodes[x].ver)
+        seen_unblocked = clash_free.get(key)
+        if seen_unblocked:
+            continue
+        blocked = bool(g.blocked(x))
+        if seen_unblocked is not None and blocked:
+            continue
+        info = g.detect_clash(x)
+        if info is not None:
+            return info
+        clash_free[key] = not blocked
+    return None
+
+
 def expand_local(g: CompletionGraph) -> bool:
     """Apply rules to fixpoint with chronological backtracking.  True when
     a clash-free, locally complete state is reached; False when every
-    branch closes."""
+    branch closes.
+
+    Each step finds the same clash and the same action as a full rescan
+    would, but skips nodes whose version and blocked kind say that nothing
+    they can see changed since a check there found nothing.  The rule memo
+    lives on the graph and survives backtracking, since a restore brings
+    back the versions that went with the restored state.  The clash memo
+    starts empty at every call, because the clash oracle may learn between
+    calls (never during one)."""
+    clash_free: dict[tuple[NodeId, int], bool] = {}
     while True:
         if g.abort_event is not None and g.abort_event.is_set():
             raise Aborted("expansion abandoned by a stop request")
-        clash = g.first_clash()
+        clash = _next_clash(g, clash_free)
         if clash is not None:
             if not _backtrack(g):
                 return False
@@ -741,11 +844,9 @@ def collect_obligations(g: CompletionGraph) -> list[Obligation]:
 
 
 def apply_pi_update(g: CompletionGraph, node: NodeId,
-                    additions: tuple[Concept, ...], direction: str) -> bool:
-    """Label maintenance along a correspondence.  Forward feeds a grown
-    fragment into the mirrored node; reverse feeds a partner's foreign
+                    additions: tuple[Concept, ...]) -> bool:
+    """Label maintenance along a correspondence: feeds a partner's foreign
     literals back into the source node."""
-    assert direction in ("forward", "reverse")
     changed = False
     for c in additions:
         changed |= g.add_label(node, c)
@@ -753,9 +854,7 @@ def apply_pi_update(g: CompletionGraph, node: NodeId,
 
 
 def mark_sent(g: CompletionGraph, ob: Obligation):
-    node = g.nodes[ob.node]
-    st = node.corr.setdefault(ob.dest_unit, CorrState())
-    st.sent_fragment = ob.fragment
+    g.set_corr(ob.node, ob.dest_unit, sent_fragment=ob.fragment)
 
 
 def poison(g: CompletionGraph, node: NodeId):
@@ -790,7 +889,7 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None,
                 clashed = True
                 break
             if verdict == "additions" and reverse_updates:
-                apply_pi_update(g, ob.node, payload, "reverse")
+                apply_pi_update(g, ob.node, payload)
         if clashed:
             continue
         # loop again: new foreign content may have produced new obligations

@@ -282,3 +282,36 @@ def test_budget_exhaustion_is_inconclusive():
     s = _session(kb, max_nodes=2)
     with pytest.raises(InconclusiveError):
         s.is_satisfiable(parse_concept("A", "u1"))
+
+
+# -- reverse updates ---------------------------------------------------------------
+
+def _reverse_cycle_kb():
+    u1 = "(unit u1)\n(concept A)\n(concept C)"
+    u2 = "(unit u2)\n(concept B)\n(concept D)"
+    u3 = "(unit u3)\n(concept E)"
+    c1 = {"unit": "u1", "mappings": [{"source_unit": "u2", "bridge_rules": [
+        {"kind": "onto", "source": "u2:B", "target": "u1:A"}]}]}
+    c2 = {"unit": "u2", "mappings": [
+        {"source_unit": "u1", "bridge_rules": [
+            {"kind": "into", "source": "u1:A", "target": "u2:D"}]},
+        {"source_unit": "u3", "bridge_rules": [
+            {"kind": "onto", "source": "u3:E", "target": "u2:D"}]}]}
+    c3 = {"unit": "u3", "mappings": [{"source_unit": "u1", "bridge_rules": [
+        {"kind": "into", "source": "u1:A", "target": "u3:E"}]}]}
+    return load_kb([u1, u2, u3], [c1, c2, c3])
+
+
+def test_reverse_cycle_satisfiable_without_reverse_updates():
+    # the model {a}/{b}/{e} with every pair corresponding satisfies u1:A
+    kb = _reverse_cycle_kb()
+    goal = Atom("u1", "A")
+    assert oracle_satisfiable(kb, goal, domain_bound=2) is True
+    assert _session(kb, reverse_updates=False).is_satisfiable(goal)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "unsound UNSAT: the u2 serve picks not u1:A in the into rule's "
+    "disjunction and the reverse update ships that choice back as a fact"))
+def test_reverse_cycle_satisfiable_with_reverse_updates():
+    assert _session(_reverse_cycle_kb()).is_satisfiable(Atom("u1", "A"))

@@ -1,14 +1,22 @@
+from collections import Counter
+
 import pytest
 
+from ontomesh import tableau
 from ontomesh.io import load_kb, parse_concept
 from ontomesh.model import Atom, Bottom, Not, Property, Top
 from ontomesh.oracle import oracle_satisfiable
+from ontomesh.peer import LoopbackSession
 from ontomesh.tableau import (
     BudgetExceeded, Outcome, apply_ce_rule, audit_complete_graph,
     collect_obligations, expand_local, expand_to_completion, init_graph,
+    mark_sent,
 )
 
-from figures import conference_square_kb, conference_triangle_kb
+from figures import (
+    articles_linked_kb, articles_overlap_kb, conference_square_kb,
+    conference_triangle_kb,
+)
 
 
 def _kb(*units, couplings=()):
@@ -333,3 +341,177 @@ def test_single_unit_agrees_with_oracle(text, expected):
     assert oracle_satisfiable(kb, goal, domain_bound=3) is expected
     ok, _ = _local_sat(kb, "u1", text)
     assert ok is expected
+
+
+# -- incremental expansion -------------------------------------------------------
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Compare every memoized clash and action of expand_local with a full
+    rescan of the same graph (first_clash, and _find_action with its rule
+    memo emptied).  Counts the steps it checked."""
+    steps = Counter()
+    find_action, next_clash = tableau._find_action, tableau._next_clash
+
+    def checked_find_action(g):
+        memo = g._rule_memo
+        g._rule_memo = tuple(set() for _ in memo)
+        expected = find_action(g)
+        g._rule_memo = memo
+        steps["actions"] += 1
+        steps["memoized"] += any(memo)
+        action = find_action(g)
+        assert action == expected
+        return action
+
+    def checked_next_clash(g, clash_free):
+        steps["memoized"] += bool(clash_free)
+        clash = next_clash(g, clash_free)
+        assert clash == g.first_clash()
+        steps["clashes"] += clash is not None
+        return clash
+
+    monkeypatch.setattr(tableau, "_find_action", checked_find_action)
+    monkeypatch.setattr(tableau, "_next_clash", checked_next_clash)
+    return steps
+
+
+def _transitive_abox_kb(bad: int | None, m: int = 4):
+    """a0..a{m-1} chained by the transitive role r, each in (or A B); u2:Y
+    maps into u1:A and every b{i} in u2:X, below Y, corresponds to a{i}.
+    So every a{i} is in A, and a{bad} in (not A) makes the KB
+    inconsistent."""
+    u1 = ["(unit u1)", "(concept A)", "(concept B)", "(role r)",
+          "(transitive r)"]
+    u1 += [f"(individual a{i})" for i in range(m)]
+    for i in range(m):
+        u1.append(f"(instance a{i} (or A B))")
+        if i + 1 < m:
+            u1.append(f"(related a{i} r a{i + 1})")
+    u1.append("(instance a0 (all r (or A B)))")
+    if bad is not None:
+        u1.append(f"(instance a{bad} (not A))")
+    u2 = ["(unit u2)", "(concept X)", "(concept Y)", "(sub X Y)"]
+    u2 += [f"(individual b{i})" for i in range(m)]
+    u2 += [f"(instance b{i} X)" for i in range(m)]
+    coupling = {"unit": "u1", "mappings": [{
+        "source_unit": "u2",
+        "bridge_rules": [{"kind": "into", "source": "u2:Y", "target": "u1:A"}],
+        "individual_correspondences": [
+            {"foreign": f"u2:b{i}", "local": f"u1:a{i}"} for i in range(m)]}]}
+    return _kb("\n".join(u1), "\n".join(u2), couplings=[coupling])
+
+
+@pytest.mark.parametrize("make_kb", [
+    articles_linked_kb, articles_overlap_kb, conference_square_kb,
+    conference_triangle_kb])
+def test_memoized_steps_match_full_rescan_on_figures(make_kb, checked_steps):
+    kb = make_kb()
+    session = LoopbackSession(kb)
+    for unit in kb.unit_order:
+        session.classify(unit)
+    assert checked_steps["actions"] > 0
+    assert checked_steps["memoized"] > 0
+
+
+@pytest.mark.parametrize("bad", [None, 2])
+def test_memoized_steps_match_full_rescan_on_transitive_abox(bad,
+                                                             checked_steps):
+    verdict, _ = LoopbackSession(_transitive_abox_kb(bad)).check_consistency()
+    assert verdict == ("consistent" if bad is None else "inconsistent")
+    assert checked_steps["clashes"] > 0
+    assert checked_steps["memoized"] > 0
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("(and (some r A) (some r B) (max 1 r top))", True),
+    ("(and (some r A) (some r (not A)) (max 1 r top))", False),
+    ("(and (min 3 r A) (max 2 r A))", False),
+    ("(and (some r (some r A)) (all r (all r (not A))))", False),
+] + SINGLE_UNIT_CASES)
+def test_memoized_steps_match_full_rescan_on_number_restrictions(
+        text, expected, checked_steps):
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)")
+    ok, _ = _local_sat(kb, "u1", text)
+    assert ok is expected
+    assert checked_steps["actions"] > 0
+
+
+def test_clash_record_made_while_blocked_holds_only_while_blocked(
+        monkeypatch):
+    kb = _kb("(unit u1)\n(concept A)\n(role r)\n(sub A (some r A))")
+    ok, g = _local_sat(kb, "u1", "A")
+    assert ok
+    x = next(n for n in sorted(g.nodes) if g.blocked(n))
+    asked = []
+
+    def oracle(graph, node):
+        asked.append(node)
+        return "doomed" if node == x else None
+
+    g.clash_oracle = oracle
+    clash_free = {}
+    assert tableau._next_clash(g, clash_free) is None
+    assert x not in asked and clash_free[(x, g.nodes[x].ver)] is False
+    # same version, now unblocked: the oracle must be asked at x
+    monkeypatch.setattr(g, "blocked", lambda n: tableau.Blocked("none"))
+    clash = tableau._next_clash(g, clash_free)
+    assert clash.node == x and clash.reason == "doomed"
+    # a record made while unblocked covers the blocked state too
+    unblocked_record = {(n, g.nodes[n].ver): True for n in g.nodes}
+    monkeypatch.setattr(g, "blocked", lambda n: tableau.Blocked("direct"))
+    asked.clear()
+    assert tableau._next_clash(g, unblocked_record) is None
+    assert asked == []
+
+
+def test_restore_brings_back_node_versions():
+    kb = _kb("(unit u1)\n(concept A)\n(role r)")
+    g = init_graph(kb, "u1", parse_concept("(some r A)", "u1"))
+    snap = g.snapshot()
+    versions = {x: n.ver for x, n in g.nodes.items()}
+    edge_ver = g.edge_ver
+    assert expand_local(g)
+    assert len(g.nodes) > len(versions)
+    assert g.edge_ver != edge_ver
+    g.restore(snap)
+    assert {x: n.ver for x, n in g.nodes.items()} == versions
+    assert g.edge_ver == edge_ver
+
+
+def test_label_and_distinct_changes_bump_neighbor_versions():
+    kb = _kb("""
+(unit u1)
+(concept A)
+(role r)
+(individual a)
+(individual b)
+(individual c)
+(related a r b)
+""")
+    g = init_graph(kb, "u1")
+    ids = {n.origin: x for x, n in g.nodes.items()}
+    x, y, z = (ids[("abox", name)] for name in "abc")
+    root = ids[("root",)]
+    before = {i: n.ver for i, n in g.nodes.items()}
+    assert g.add_label(y, Atom("u1", "A"))
+    assert g.nodes[y].ver > before[y]
+    assert g.nodes[x].ver > before[x]
+    assert g.nodes[z].ver == before[z]
+    assert g.nodes[root].ver == before[root]
+    before = {i: n.ver for i, n in g.nodes.items()}
+    g.set_distinct(y, z)
+    assert all(g.nodes[i].ver > before[i] for i in (x, y, z))
+    assert g.nodes[root].ver == before[root]
+
+
+def test_mark_sent_bumps_node_version():
+    kb = conference_triangle_kb()
+    goal = parse_concept("(and PediatricConference (not HumanActivity))", "u3")
+    g = init_graph(kb, "u3", goal)
+    assert expand_local(g)
+    ob = collect_obligations(g)[0]
+    ver = g.nodes[ob.node].ver
+    mark_sent(g, ob)
+    assert g.nodes[ob.node].ver > ver
+    assert g.nodes[ob.node].corr[ob.dest_unit].sent_fragment == ob.fragment
