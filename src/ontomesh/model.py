@@ -11,7 +11,6 @@ internalization concepts and the property hierarchy.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from dataclasses import dataclass, field

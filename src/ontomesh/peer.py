@@ -13,20 +13,14 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .model import And, Atom, Concept, DistributedKB, UnitId, neg, nnf
 from .protocol import (
-    ADDITIONS,
-    CLASH,
-    INCONCLUSIVE,
     JOINT,
     ProjectionCache,
     ProjectionPackage,
-    ProjectionItem,
     ProtocolError,
-    StopRegistry,
     build_packages,
     handle_hole,
     serve_package,
@@ -34,6 +28,10 @@ from .protocol import (
     simplify,
 )
 from .tableau import (
+    ADDITIONS,
+    CLASH,
+    INCONCLUSIVE,
+    SKIPPED,
     BudgetExceeded,
     Obligation,
     Outcome,
@@ -47,8 +45,6 @@ INITIALIZING = "initializing"
 READY = "ready"
 HOLED = "holed"
 FAILED = "failed"
-
-SKIPPED = "skipped"
 
 
 class InconclusiveError(Exception):
@@ -78,28 +74,7 @@ class Metrics:
     packages_received: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    wall_ms: int = 0
     branch_count: int = 0
-
-    def reset(self):
-        self.projections_triggered = 0
-        self.packages_sent = 0
-        self.packages_received = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.wall_ms = 0
-        self.branch_count = 0
-
-    def as_dict(self):
-        return {
-            "projections_triggered": self.projections_triggered,
-            "packages_sent": self.packages_sent,
-            "packages_received": self.packages_received,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "wall_ms": self.wall_ms,
-            "branch_count": self.branch_count,
-        }
 
 
 @dataclass
@@ -129,10 +104,9 @@ class Peer:
         self.skeleton = None                 # frozen post-initialization
         self.metrics = Metrics()
         self.cache = ProjectionCache()
-        self.stops = StopRegistry()
         self.router = None                   # injected by the session
         self._pkg_counter = itertools.count(1)
-        self._serving: dict[tuple[str, bytes], int] = {}
+        self._serving: set[tuple[str, bytes]] = set()
         self._serve_depth = 0
         self._lock = threading.RLock()
         # fragments whose projection is known to clash at a destination;
@@ -205,12 +179,13 @@ class Peer:
 
     # -- outbound projections ----------------------------------------------------
 
-    def projection_hook(self, origin: str, parent_request: str | None = None):
+    def projection_hook(self, origin: str):
         """The hook a graph expansion uses to flush its obligations.  It
         packages them per neighbor, consults the cache, ships what is left
         through the router and realigns the outcomes per obligation.  After
-        a clash for some node, that node's remaining packages are skipped:
-        the branch is closing anyway, which is the stop-request economy."""
+        a clash for some node, that node's remaining packages are never
+        sent: the branch is closing anyway, so their answers could not
+        change it."""
 
         def hook(obligations: list[Obligation]):
             packages, slots = self._package(obligations, origin)
@@ -224,7 +199,7 @@ class Peer:
                         results[i] = (SKIPPED, None)
                     self.router.notify_skip(self.unit, pkg)
                     continue
-                outcomes = self._send_package(pkg, parent_request)
+                outcomes = self._send_package(pkg)
                 for i in members:
                     verdict, payload = outcomes[slots[i][1]]
                     if verdict == INCONCLUSIVE:
@@ -259,7 +234,7 @@ class Peer:
                  for ob in obligations]
         return packages, slots
 
-    def _send_package(self, pkg: ProjectionPackage, parent_request):
+    def _send_package(self, pkg: ProjectionPackage):
         if self.config.use_cache:
             cached = self.cache.lookup(pkg.to, pkg)
             if cached is not None:
@@ -267,15 +242,14 @@ class Peer:
                 return cached
             self.metrics.cache_misses += 1
         self.metrics.packages_sent += 1
-        outcomes, final = self.router.dispatch(pkg, parent_request)
+        outcomes, final = self.router.dispatch(pkg)
         if self.config.use_cache and final:
             self.cache.store(pkg.to, pkg, outcomes)
         return outcomes
 
     # -- inbound serving ------------------------------------------------------------
 
-    def serve(self, pkg: ProjectionPackage,
-              parent_request: str | None = None) -> tuple[tuple, bool]:
+    def serve(self, pkg: ProjectionPackage) -> tuple[tuple, bool]:
         """Answer one projection package.  Returns (outcomes, final):
         non-final answers are provisional snapshots given to re-entrant
         copies of a request this peer is already serving, and must not be
@@ -289,19 +263,16 @@ class Peer:
                 if self._serve_depth >= self.config.serve_depth_limit:
                     return tuple((INCONCLUSIVE, None) for _ in pkg.items), False
                 return tuple((ADDITIONS, ()) for _ in pkg.items), False
-            self._serving[key] = 1
+            self._serving.add(key)
             self._serve_depth += 1
-        ctx = self.stops.open(pkg.id, parent_request)
         origin = pkg.items[0].trigger_origin or pkg.frm
-        hook = self.projection_hook(origin, parent_request=pkg.id)
+        hook = self.projection_hook(origin)
         try:
             outcomes = serve_package(pkg, self.skeleton, self.kb, hook,
-                                     abort_event=ctx.abort,
                                      reverse_updates=self.config.reverse_updates)
         finally:
-            self.stops.close(pkg.id)
             with self._lock:
-                self._serving.pop(key, None)
+                self._serving.discard(key)
                 self._serve_depth -= 1
         return outcomes, True
 
@@ -313,15 +284,14 @@ class LoopbackRouter:
     def __init__(self, session: "LoopbackSession"):
         self.session = session
 
-    def dispatch(self, pkg: ProjectionPackage, parent_request):
+    def dispatch(self, pkg: ProjectionPackage):
         session = self.session
         session.log.append(("projection_request", pkg.frm, pkg.to, pkg.id,
                             len(pkg.items)))
         origin = pkg.items[0].trigger_origin or pkg.frm
-        session.triggered[origin] = session.triggered.get(origin, 0) \
-            + len(pkg.items)
+        session.peers[origin].metrics.projections_triggered += len(pkg.items)
         receiver = session.peers[pkg.to]
-        outcomes, final = receiver.serve(pkg, parent_request)
+        outcomes, final = receiver.serve(pkg)
         session.log.append(("projection_response", pkg.to, pkg.frm, pkg.id,
                             "final" if final else "provisional"))
         return outcomes, final
@@ -347,7 +317,6 @@ class LoopbackSession:
         for p in self.peers.values():
             p.router = router
         self.log: list[tuple] = []
-        self.triggered: dict[str, int] = {}
         self.holes: set[str] = set()
         self._initialized = False
         self._consistency: tuple | None = None
@@ -373,10 +342,9 @@ class LoopbackSession:
     def _begin_task(self):
         self.initialize()
         for p in self.peers.values():
-            p.metrics.reset()
+            p.metrics = Metrics()
             if not self.config.use_cache:
                 p._doomed.clear()
-        self.triggered = {}
 
     def _ready_peers(self):
         return [self.peers[u] for u in self.kb.unit_order
@@ -389,7 +357,6 @@ class LoopbackSession:
         machinery live.  Returns ('consistent', None) or
         ('inconsistent', (peer, detail))."""
         self._begin_task()
-        started = time.monotonic()
         verdict = ("consistent", None)
         for peer in self._ready_peers():
             graph = peer.skeleton.clone()
@@ -405,7 +372,6 @@ class LoopbackSession:
                            (peer.unit, "no clash-free completion"))
                 break
         self._consistency = verdict
-        self._record_wall(started)
         return verdict
 
     def ensure_consistent(self):
@@ -419,7 +385,6 @@ class LoopbackSession:
         self.ensure_consistent()
         if _task:
             self._begin_task()
-        started = time.monotonic()
         goal = simplify(substitute_holes(nnf(goal), self.holes))
         home = goal.home
         if home in self.holes or home not in self.peers \
@@ -435,8 +400,6 @@ class LoopbackSession:
         except BudgetExceeded:
             raise InconclusiveError("satisfiability ran out of nodes")
         peer.metrics.branch_count += graph.branch_count
-        if _task:
-            self._record_wall(started)
         if outcome is Outcome.COMPLETE and self.config.audit:
             problems = audit_complete_graph(graph, goal)
             if problems:
@@ -455,7 +418,6 @@ class LoopbackSession:
         a hierarchy with equivalence classes collapsed."""
         self.ensure_consistent()
         self._begin_task()
-        started = time.monotonic()
         if unit in self.holes:
             raise ProtocolError(f"unit {unit} is holed")
         names = sorted(self.kb.units[unit].concept_names)
@@ -465,21 +427,11 @@ class LoopbackSession:
                 if a != b and self.is_subsumed(Atom(unit, a), Atom(unit, b),
                                                _task=False):
                     below[a].add(b)
-        self._record_wall(started)
         return _build_taxonomy(unit, names, below)
 
     def metrics_snapshot(self) -> dict[str, dict]:
-        out = {}
-        for u in self.kb.unit_order:
-            d = self.peers[u].metrics.as_dict()
-            d["projections_triggered"] = self.triggered.get(u, 0)
-            out[u] = d
-        return out
-
-    def _record_wall(self, started: float):
-        ms = int((time.monotonic() - started) * 1000)
-        for p in self.peers.values():
-            p.metrics.wall_ms += ms
+        return {u: asdict(self.peers[u].metrics)
+                for u in self.kb.unit_order}
 
 
 def _build_taxonomy(unit: UnitId, names: list[str],

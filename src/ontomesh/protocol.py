@@ -2,8 +2,14 @@
 
 Carries label fragments between peers as packaged projection requests,
 serves inbound packages against a working copy of the local graph, caches
-responses for byte-identical packages, honors stop requests, and applies
-hole notices by rewriting the affected unit's vocabulary away.
+responses for byte-identical packages, and rewrites the vocabulary of
+holed units away.
+
+Serving is one synchronous call: a package's outcomes are the return value
+of its serve, and every package the serve sends downstream is answered
+before it returns, so nothing is cancelled and nothing is decoded.  The
+payload encoding gives the wire form of a package, which measures its
+size.
 
 Peers are identified by the unit they own, so peer ids and unit ids
 coincide throughout.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     And,
@@ -26,17 +32,17 @@ from .model import (
     DistributedKB,
     Exists,
     ForAll,
-    LinkDecl,
     Not,
     Or,
-    Property,
     Top,
     UnitKB,
     by_key,
     nnf,
 )
 from .tableau import (
-    Aborted,
+    ADDITIONS,
+    CLASH,
+    INCONCLUSIVE,
     BudgetExceeded,
     CompletionGraph,
     Obligation,
@@ -78,34 +84,6 @@ def concept_to_obj(c: Concept):
     return obj
 
 
-def concept_from_obj(obj) -> Concept:
-    op = obj["op"]
-    if op == "top":
-        return Top(obj["unit"])
-    if op == "bot":
-        return Bottom(obj["unit"])
-    if op == "atom":
-        return Atom(obj["unit"], obj["name"])
-    if op == "not":
-        return Not(concept_from_obj(obj["arg"]))
-    if op in ("and", "or"):
-        cls = And if op == "and" else Or
-        return cls(concept_from_obj(obj["left"]),
-                   concept_from_obj(obj["right"]), obj["unit"])
-    p = obj["prop"]
-    prop = Property(p["name"], p["home"], p["target"], p["inverted"])
-    filler = concept_from_obj(obj["filler"])
-    if op == "some":
-        return Exists(prop, filler)
-    if op == "all":
-        return ForAll(prop, filler)
-    if op == "min":
-        return AtLeast(obj["n"], prop, filler)
-    if op == "max":
-        return AtMost(obj["n"], prop, filler)
-    raise ProtocolError(f"unknown concept op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # message types
 # ---------------------------------------------------------------------------
@@ -127,13 +105,6 @@ class ProjectionItem:
                 "target_individual": self.target_individual,
                 "trigger_origin": self.trigger_origin}
 
-    @classmethod
-    def from_payload(cls, obj):
-        return cls(source_node=obj["source_node"],
-                   fragment=tuple(concept_from_obj(c) for c in obj["fragment"]),
-                   target_individual=obj.get("target_individual"),
-                   trigger_origin=obj.get("trigger_origin"))
-
 
 @dataclass(frozen=True)
 class ProjectionPackage:
@@ -150,71 +121,10 @@ class ProjectionPackage:
         return {"id": self.id, "from": self.frm, "to": self.to,
                 "items": [i.to_payload() for i in self.items]}
 
-    @classmethod
-    def from_payload(cls, obj):
-        return cls(id=obj["id"], frm=obj["from"], to=obj["to"],
-                   items=tuple(ProjectionItem.from_payload(i)
-                               for i in obj["items"]))
-
-
-CLASH = "clash"
-ADDITIONS = "additions"
-INCONCLUSIVE = "inconclusive"
 
 # payload marker on a clash outcome that was attributed to a whole package
 # rather than confirmed for the item alone
 JOINT = "joint"
-
-
-@dataclass(frozen=True)
-class ProjectionResponse:
-    request_id: str
-    outcomes: tuple[tuple, ...]  # (CLASH, None) | (ADDITIONS, literals) | (INCONCLUSIVE, None)
-
-    def to_payload(self):
-        out = []
-        for verdict, payload in self.outcomes:
-            if verdict == ADDITIONS:
-                out.append({"verdict": verdict,
-                            "additions": [concept_to_obj(c) for c in payload]})
-            else:
-                out.append({"verdict": verdict})
-        return {"request_id": self.request_id, "outcomes": out}
-
-    @classmethod
-    def from_payload(cls, obj):
-        outcomes = []
-        for o in obj["outcomes"]:
-            if o["verdict"] == ADDITIONS:
-                outcomes.append((ADDITIONS, tuple(concept_from_obj(c)
-                                                  for c in o["additions"])))
-            else:
-                outcomes.append((o["verdict"], None))
-        return cls(obj["request_id"], tuple(outcomes))
-
-
-@dataclass(frozen=True)
-class StopRequest:
-    request_id: str
-
-    def to_payload(self):
-        return {"request_id": self.request_id}
-
-    @classmethod
-    def from_payload(cls, obj):
-        return cls(obj["request_id"])
-
-
-@dataclass(frozen=True)
-class HoleNotice:
-    peer: str
-
-    def to_payload(self):
-        return {"peer": self.peer}
-
-    @classmethod
-    def from_payload(cls, obj):
-        return cls(obj["peer"])
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +140,12 @@ class ProjectionCache:
         self._store: dict[tuple[str, bytes], tuple] = {}
         self._bytes = 0
         self._budget = byte_budget
-        self.hits = 0
-        self.misses = 0
         self._lock = threading.Lock()
 
     def lookup(self, to: str, pkg: ProjectionPackage):
         key = (to, pkg.content_bytes())
         with self._lock:
-            found = self._store.get(key)
-            if found is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return found
+            return self._store.get(key)
 
     def store(self, to: str, pkg: ProjectionPackage, outcomes: tuple):
         key = (to, pkg.content_bytes())
@@ -301,16 +204,8 @@ def response_literals(graph: CompletionGraph, node: int,
 # serving
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ServeContext:
-    request_id: str
-    abort: threading.Event = field(default_factory=threading.Event)
-    children: list[str] = field(default_factory=list)
-
-
 def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
                   kb: DistributedKB, downstream_hook=None,
-                  abort_event: threading.Event | None = None,
                   reverse_updates: bool = True) -> tuple:
     """Serve one package against a fresh working copy of the local graph.
 
@@ -326,7 +221,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     clashes on its own, the joint clash is reported on all of them.
     """
     outcome = _serve_items(pkg.items, pkg.frm, skeleton, kb, downstream_hook,
-                           abort_event, reverse_updates)
+                           reverse_updates)
     if outcome is not None:
         return outcome
     if len(pkg.items) == 1:
@@ -335,7 +230,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     any_clash = False
     for item in pkg.items:
         one = _serve_items((item,), pkg.frm, skeleton, kb, downstream_hook,
-                           abort_event, reverse_updates)
+                           reverse_updates)
         if one is None:
             singles.append((CLASH, None))
             any_clash = True
@@ -347,11 +242,8 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
 
 
 def _serve_items(items, requester: str, skeleton: CompletionGraph,
-                 kb: DistributedKB, downstream_hook, abort_event,
-                 reverse_updates):
+                 kb: DistributedKB, downstream_hook, reverse_updates):
     copy = skeleton.clone()
-    if abort_event is not None:
-        copy.abort_event = abort_event
     placed: list[int] = []
     for item in items:
         node_id = None
@@ -389,50 +281,7 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
 
 
 # ---------------------------------------------------------------------------
-# stop requests
-# ---------------------------------------------------------------------------
-
-class StopRegistry:
-    """Abandonment of in-flight work.  Stops cascade to downstream
-    requests a serve has spawned; unknown ids acknowledge as no-ops."""
-
-    def __init__(self):
-        self._contexts: dict[str, ServeContext] = {}
-        self._lock = threading.Lock()
-
-    def open(self, request_id: str, parent_id: str | None = None) -> ServeContext:
-        ctx = ServeContext(request_id)
-        with self._lock:
-            self._contexts[request_id] = ctx
-            if parent_id and parent_id in self._contexts:
-                self._contexts[parent_id].children.append(request_id)
-        return ctx
-
-    def close(self, request_id: str):
-        with self._lock:
-            self._contexts.pop(request_id, None)
-
-    def handle_stop(self, request_id: str) -> bool:
-        """Returns True (acknowledged) always; aborts the context and its
-        descendants when the id is known."""
-        with self._lock:
-            stack = [request_id]
-            while stack:
-                rid = stack.pop()
-                ctx = self._contexts.get(rid)
-                if ctx is not None:
-                    ctx.abort.set()
-                    stack.extend(ctx.children)
-        return True
-
-    def is_aborted(self, request_id: str) -> bool:
-        with self._lock:
-            ctx = self._contexts.get(request_id)
-            return ctx is not None and ctx.abort.is_set()
-
-
-# ---------------------------------------------------------------------------
-# hole notices
+# holes
 # ---------------------------------------------------------------------------
 
 def substitute_holes(c: Concept, holed: set[str]) -> Concept:

@@ -25,7 +25,7 @@ nothing and skips them, which keeps the firing order of a full rescan.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
@@ -56,13 +56,17 @@ class BudgetExceeded(Exception):
     """Node budget ran out; reported as inconclusive, never as a verdict."""
 
 
-class Aborted(Exception):
-    """A stop request cancelled this expansion at a rule boundary."""
-
-
 class Outcome(Enum):
     COMPLETE = "complete"
     UNSATISFIABLE = "unsatisfiable"
+
+
+# projection outcome verdicts, one per obligation or package item; a hook
+# turns INCONCLUSIVE into an error, and a serve never answers SKIPPED
+CLASH = "clash"
+ADDITIONS = "additions"
+INCONCLUSIVE = "inconclusive"
+SKIPPED = "skipped"
 
 
 @dataclass
@@ -161,7 +165,6 @@ class CompletionGraph:
         self.next_id = 0
         self.branch_stack: list[BranchPoint] = []
         self.branch_count = 0
-        self.abort_event = None
         # optional early-clash callback: (graph, node) -> reason or None.
         # Used by the peer layer to fail branches whose projection is
         # already known to clash, before completing them.
@@ -796,8 +799,6 @@ def expand_local(g: CompletionGraph) -> bool:
     calls (never during one)."""
     clash_free: dict[tuple[NodeId, int], bool] = {}
     while True:
-        if g.abort_event is not None and g.abort_event.is_set():
-            raise Aborted("expansion abandoned by a stop request")
         clash = _next_clash(g, clash_free)
         if clash is not None:
             if not _backtrack(g):
@@ -869,9 +870,9 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None,
     and fold the responses back in, until nothing changes anywhere.
 
     The hook takes a list of Obligations and returns a list of
-    ('clash', None) or ('additions', tuple-of-literals) outcomes aligned
-    with it.  Clash poisons the obligation's source node, which sends the
-    engine back into chronological backtracking."""
+    (CLASH, payload), (ADDITIONS, tuple-of-literals) or (SKIPPED, None)
+    outcomes aligned with it.  Clash poisons the obligation's source node,
+    which sends the engine back into chronological backtracking."""
     while True:
         if not expand_local(g):
             return Outcome.UNSATISFIABLE
@@ -881,14 +882,14 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None,
         outcomes = projection_hook(obligations)
         clashed = False
         for ob, (verdict, payload) in zip(obligations, outcomes):
-            if ob.node not in g.nodes or verdict == "skipped":
+            if ob.node not in g.nodes or verdict == SKIPPED:
                 continue
             mark_sent(g, ob)
-            if verdict == "clash":
+            if verdict == CLASH:
                 poison(g, ob.node)
                 clashed = True
                 break
-            if verdict == "additions" and reverse_updates:
+            if verdict == ADDITIONS and reverse_updates:
                 apply_pi_update(g, ob.node, payload)
         if clashed:
             continue

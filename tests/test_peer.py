@@ -315,3 +315,36 @@ def test_reverse_cycle_satisfiable_without_reverse_updates():
     "disjunction and the reverse update ships that choice back as a fact"))
 def test_reverse_cycle_satisfiable_with_reverse_updates():
     assert _session(_reverse_cycle_kb()).is_satisfiable(Atom("u1", "A"))
+
+
+# -- re-entrant serving --------------------------------------------------------------
+
+def _reentrant_kb():
+    # u1's goal projects to u2, whose serve projects back to u1, whose
+    # serve projects the same package to u2 again while u2 still serves it
+    u1 = "(unit u1)\n(concept A)\n(concept C)"
+    u2 = "(unit u2)\n(concept B)\n(concept D)"
+    c1 = {"unit": "u1", "mappings": [{"source_unit": "u2", "bridge_rules": [
+        {"kind": "onto", "source": "u2:B", "target": "u1:A"},
+        {"kind": "into", "source": "u2:B", "target": "u1:A"}]}]}
+    c2 = {"unit": "u2", "mappings": [{"source_unit": "u1", "bridge_rules": [
+        {"kind": "into", "source": "u1:A", "target": "u2:B"}]}]}
+    return load_kb([u1, u2], [c1, c2])
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_reentrant_serve_answers_provisionally(use_cache):
+    kb = _reentrant_kb()
+    goal = Atom("u1", "A")
+    assert oracle_satisfiable(kb, goal, domain_bound=2) is True
+    s = _session(kb, use_cache=use_cache)
+    assert s.is_satisfiable(goal) is True
+    assert any(e[0] == "projection_response" and e[-1] == "provisional"
+               for e in s.log)
+
+
+def test_reentrant_serve_respects_depth_limit():
+    goal = Atom("u1", "A")
+    with pytest.raises(InconclusiveError):
+        _session(_reentrant_kb(), serve_depth_limit=1).is_satisfiable(goal)
+    assert _session(_reentrant_kb(), serve_depth_limit=2).is_satisfiable(goal)
