@@ -516,7 +516,9 @@ class Violation:
 class DistributedKB:
     """All units plus all couplings, with derived lookup tables.
 
-    Immutable after construction; share freely between threads.
+    Immutable after construction, apart from the internalizations, which
+    are built on first use; threads that race build the same interned
+    value.  Share freely between threads.
     """
 
     units: dict[UnitId, UnitKB]
@@ -526,7 +528,8 @@ class DistributedKB:
     _neighbors: dict[UnitId, set[UnitId]] = field(default_factory=dict)
     _subsumers: dict[Property, frozenset[Property]] = field(default_factory=dict)
     _transitive: set[Property] = field(default_factory=set)
-    _internalizations: dict[UnitId, Concept] = field(default_factory=dict)
+    _internalizations: dict[UnitId, Concept] = field(default_factory=dict,
+                                                     compare=False)
 
     @classmethod
     def build(cls, units: dict[UnitId, UnitKB],
@@ -605,10 +608,6 @@ class DistributedKB:
                     self._transitive.add(Property(ld.name, u, ld.target_unit))
                     self._transitive.add(Property(ld.name, u, u))
 
-        self._internalizations = {
-            u: self._internalize(u) for u in units
-        }
-
     # -- queries ------------------------------------------------------------
 
     def neighbors(self, unit: UnitId) -> set[UnitId]:
@@ -680,8 +679,14 @@ class DistributedKB:
         an E instance must have a correspondent in F.  An into rule with
         foreign source H and local target G contributes (not H) or G: a
         node whose correspondent falls in H must itself be in G.
+
+        Built on the first call for each unit and kept.
         """
-        return self._internalizations[unit]
+        try:
+            return self._internalizations[unit]
+        except KeyError:
+            ck = self._internalizations[unit] = self._internalize(unit)
+            return ck
 
     def _internalize(self, unit: UnitId) -> Concept:
         disjunctions = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from dataclasses import asdict, dataclass
 
 from .model import And, Atom, Concept, DistributedKB, UnitId, neg, nnf
@@ -123,9 +124,9 @@ class Peer:
             bucket.append(entry)
 
     def doom_oracle(self, graph, node_id) -> str | None:
-        """Early-clash check wired into this peer's graphs: a node whose
-        eventual projection covers a fragment that already clashed cannot
-        stand."""
+        """Early-clash check set on each working copy of this peer's
+        skeleton: a node whose eventual projection covers a fragment that
+        already clashed cannot stand."""
         if not self._doomed:
             return None
         node = graph.nodes[node_id]
@@ -175,7 +176,6 @@ class Peer:
         self.kb = handle_hole(self.kb_full, self.holes)
         self.skeleton = init_graph(self.kb, self.unit,
                                    max_nodes=self.config.max_nodes)
-        self.skeleton.clash_oracle = self.doom_oracle
 
     # -- outbound projections ----------------------------------------------------
 
@@ -269,7 +269,8 @@ class Peer:
         hook = self.projection_hook(origin)
         try:
             outcomes = serve_package(pkg, self.skeleton, self.kb, hook,
-                                     reverse_updates=self.config.reverse_updates)
+                                     reverse_updates=self.config.reverse_updates,
+                                     clash_oracle=self.doom_oracle)
         finally:
             with self._lock:
                 self._serving.discard(key)
@@ -279,10 +280,13 @@ class Peer:
 
 class LoopbackRouter:
     """Direct in-process routing between peers; deterministic and
-    synchronous.  Records a transcript of reasoning messages."""
+    synchronous.  Records a transcript of reasoning messages.  It holds
+    its session weakly: peers hold the router, so a strong reference
+    would make a cycle that keeps a dropped session alive until the
+    cyclic collector runs."""
 
     def __init__(self, session: "LoopbackSession"):
-        self.session = session
+        self.session = weakref.proxy(session)
 
     def dispatch(self, pkg: ProjectionPackage):
         session = self.session
@@ -360,6 +364,7 @@ class LoopbackSession:
         verdict = ("consistent", None)
         for peer in self._ready_peers():
             graph = peer.skeleton.clone()
+            graph.clash_oracle = peer.doom_oracle
             hook = peer.projection_hook(origin=peer.unit)
             try:
                 outcome = expand_to_completion(
@@ -392,6 +397,7 @@ class LoopbackSession:
             raise ProtocolError(f"unit {home} is not available for reasoning")
         peer = self.peers[home]
         graph = peer.skeleton.clone()
+        graph.clash_oracle = peer.doom_oracle
         graph.add_label(0, goal)
         hook = peer.projection_hook(origin=peer.unit)
         try:

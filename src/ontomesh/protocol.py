@@ -206,14 +206,15 @@ def response_literals(graph: CompletionGraph, node: int,
 
 def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
                   kb: DistributedKB, downstream_hook=None,
-                  reverse_updates: bool = True) -> tuple:
+                  reverse_updates: bool = True, clash_oracle=None) -> tuple:
     """Serve one package against a fresh working copy of the local graph.
 
     Each item either updates the node of its named target individual or
     opens a new node labelled with the fragment.  The copy is expanded to
-    completion; downstream obligations leave through the hook.  Per item
-    the outcome is a clash or the set of foreign literals to add back at
-    the requester, and the copy is discarded afterwards.
+    completion with clash_oracle as its early-clash check; downstream
+    obligations leave through the hook.  Per item the outcome is a clash or
+    the set of foreign literals to add back at the requester, and the copy
+    is discarded afterwards.
 
     When the joint expansion closes every branch and the package has
     several items, items are retried individually so the requester can
@@ -221,7 +222,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     clashes on its own, the joint clash is reported on all of them.
     """
     outcome = _serve_items(pkg.items, pkg.frm, skeleton, kb, downstream_hook,
-                           reverse_updates)
+                           reverse_updates, clash_oracle)
     if outcome is not None:
         return outcome
     if len(pkg.items) == 1:
@@ -230,7 +231,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     any_clash = False
     for item in pkg.items:
         one = _serve_items((item,), pkg.frm, skeleton, kb, downstream_hook,
-                           reverse_updates)
+                           reverse_updates, clash_oracle)
         if one is None:
             singles.append((CLASH, None))
             any_clash = True
@@ -242,8 +243,10 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
 
 
 def _serve_items(items, requester: str, skeleton: CompletionGraph,
-                 kb: DistributedKB, downstream_hook, reverse_updates):
+                 kb: DistributedKB, downstream_hook, reverse_updates,
+                 clash_oracle):
     copy = skeleton.clone()
+    copy.clash_oracle = clash_oracle
     placed: list[int] = []
     for item in items:
         node_id = None

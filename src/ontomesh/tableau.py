@@ -12,14 +12,23 @@ into the foreign part of the new node's label) and reach the neighbor peer
 through projection, so a branch expands entirely locally before any
 message leaves.
 
+Backtracking runs on a trail, after MiniSat (Een & Sorensson 2003).  Every
+change to the graph (a node, a label member, an edge, a distinct pair, a
+correspondence field, a version, each step of a merge) appends one undo
+record holding the old value.  A branch point keeps the trail length as its
+mark; going back to it pops records and undoes them in reverse order until
+the trail is that long again.  Nothing is copied: a backtrack costs the
+work done since the mark.
+
 Expansion is incremental.  Every node carries a version drawn from a
 per-graph counter that never goes back (clones share it); any change that a
 rule or clash check at the node can see (its own label, edges, distinct
 set or correspondences, or those of a neighbor) gives it a fresh one, and
-snapshots carry versions, so a (node, version) pair always names one state
-of the node's one-hop neighbourhood.  The engine remembers the (node,
-version, blocked kind) keys at which a rule phase or a clash check found
-nothing and skips them, which keeps the firing order of a full rescan.
+the trail puts old versions back, so a (node, version) pair always names
+one state of the node's one-hop neighbourhood.  The engine remembers the
+(node, version, blocked kind) keys at which a rule phase or a clash check
+found nothing and skips them, which keeps the firing order of a full
+rescan.
 """
 
 from __future__ import annotations
@@ -149,7 +158,25 @@ class BranchPoint:
     kind: str
     node: NodeId
     alternatives: list  # remaining actions, canonical order
-    snapshot: object
+    snapshot: int  # trail mark
+
+
+# undo records are (fn, a, b), undone by fn(a, b); fn None sets the graph
+# attribute named a back to b.  Records hold the graph's dicts and sets,
+# never the graph itself, so a dropped graph is freed by reference counting
+
+
+def _set_ver(node: Node, ver: int) -> None:
+    node.ver = ver
+
+
+def _set_attrs(obj, pairs: tuple) -> None:
+    for name, value in pairs:
+        setattr(obj, name, value)
+
+
+def _put(d: dict, item: tuple) -> None:
+    d[item[0]] = item[1]
 
 
 class CompletionGraph:
@@ -171,6 +198,7 @@ class CompletionGraph:
         self.clash_oracle = None
         self._rev = 0
         self._block_cache: dict[NodeId, tuple[int, Blocked]] = {}
+        self._trail: list[tuple] = []
         # node and edge versions; see the module docstring
         self._clock = itertools.count(1)
         self.edge_ver = 0
@@ -184,19 +212,25 @@ class CompletionGraph:
     def new_node(self, origin: tuple, parent: NodeId | None = None) -> Node:
         if len(self.nodes) >= self.max_nodes:
             raise BudgetExceeded(f"more than {self.max_nodes} nodes")
-        node = Node(self.next_id, self.unit, origin, parent)
+        x = self.next_id
+        node = Node(x, self.unit, origin, parent)
         node.ver = next(self._clock)
-        self.next_id += 1
-        self.nodes[node.id] = node
-        self.out_e[node.id] = {}
-        self.in_e[node.id] = {}
+        self.nodes[x] = node
+        self.out_e[x] = {}
+        self.in_e[x] = {}
+        self.next_id = x + 1
+        self._trail += ((None, "next_id", x), (dict.__delitem__, self.nodes, x),
+                        (dict.__delitem__, self.out_e, x),
+                        (dict.__delitem__, self.in_e, x))
         self._rev += 1
         return node
 
     def add_label(self, node: NodeId, c: Concept) -> bool:
-        if c in self.nodes[node].label:
+        label = self.nodes[node].label
+        if c in label:
             return False
-        self.nodes[node].label.add(c)
+        label.add(c)
+        self._trail.append((set.discard, label, c))
         self._rev += 1
         self._bump_around(node)
         return True
@@ -204,19 +238,37 @@ class CompletionGraph:
     def add_edge(self, a: NodeId, b: NodeId, prop: Property) -> bool:
         if prop.inverted:
             a, b, prop = b, a, prop.inverse()
-        labels = self.out_e[a].setdefault(b, set())
-        if prop in labels:
+        trail = self._trail
+        out = self.out_e[a]
+        labels = out.get(b)
+        if labels is None:
+            labels = out[b] = set()
+            trail.append((dict.__delitem__, out, b))
+        elif prop in labels:
             return False
         labels.add(prop)
-        self.in_e[b].setdefault(a, set()).add(prop)
+        trail.append((set.discard, labels, prop))
+        inc = self.in_e[b]
+        labels = inc.get(a)
+        if labels is None:
+            labels = inc[a] = set()
+            trail.append((dict.__delitem__, inc, a))
+        labels.add(prop)
+        trail.append((set.discard, labels, prop))
         self._rev += 1
-        self.edge_ver = self.nodes[a].ver = self.nodes[b].ver = next(self._clock)
+        na, nb = self.nodes[a], self.nodes[b]
+        trail += ((None, "edge_ver", self.edge_ver), (_set_ver, na, na.ver),
+                  (_set_ver, nb, nb.ver))
+        self.edge_ver = na.ver = nb.ver = next(self._clock)
         return True
 
     def set_distinct(self, a: NodeId, b: NodeId):
         if a != b:
-            self.nodes[a].distinct.add(b)
-            self.nodes[b].distinct.add(a)
+            for x, y in ((a, b), (b, a)):
+                distinct = self.nodes[x].distinct
+                if y not in distinct:
+                    distinct.add(y)
+                    self._trail.append((set.discard, distinct, y))
             self._rev += 1
             self._bump_around(a, b)
 
@@ -224,7 +276,13 @@ class CompletionGraph:
         """Set fields of the node's correspondence state toward unit,
         creating it if needed.  Every corr write goes through here, because
         rules at the node and its neighbors read corr."""
-        st = self.nodes[node].corr.setdefault(unit, CorrState())
+        corr = self.nodes[node].corr
+        st = corr.get(unit)
+        if st is None:
+            st = corr[unit] = CorrState()
+            self._trail.append((dict.__delitem__, corr, unit))
+        self._trail.append((_set_attrs, st, tuple(
+            (name, getattr(st, name)) for name in fields)))
         for name, value in fields.items():
             setattr(st, name, value)
         self._bump_around(node)
@@ -233,34 +291,63 @@ class CompletionGraph:
         """Fresh version for each node in xs and for its neighbors."""
         v = next(self._clock)
         nodes = self.nodes
+        trail = self._trail
         for x in xs:
-            nodes[x].ver = v
-            for y in self.out_e[x]:
-                nodes[y].ver = v
-            for y in self.in_e[x]:
-                nodes[y].ver = v
+            for y in itertools.chain((x,), self.out_e[x], self.in_e[x]):
+                n = nodes[y]
+                trail.append((_set_ver, n, n.ver))
+                n.ver = v
+
+    # -- trailed steps of a merge ----------------------------------------------
+
+    def _pop(self, d: dict, key) -> None:
+        """Remove key from one of the graph's dicts, if there."""
+        if key in d:
+            self._trail.append((_put, d, (key, d.pop(key))))
+
+    def _discard(self, s: set, item) -> None:
+        if item in s:
+            s.discard(item)
+            self._trail.append((set.add, s, item))
+
+    def _reparent(self, node: Node, parent: NodeId, origin: tuple) -> None:
+        self._trail.append((_set_attrs, node, (("parent", node.parent),
+                                               ("origin", node.origin))))
+        node.parent = parent
+        node.origin = origin
+
+    def _bump_all(self) -> None:
+        """One fresh version for every node and for the edges."""
+        trail = self._trail
+        trail.append((None, "edge_ver", self.edge_ver))
+        v = self.edge_ver = next(self._clock)
+        for n in self.nodes.values():
+            trail.append((_set_ver, n, n.ver))
+            n.ver = v
 
     # -- snapshots -------------------------------------------------------------
 
-    def snapshot(self):
-        return (
-            {i: n.clone() for i, n in self.nodes.items()},
-            {i: {j: set(s) for j, s in d.items()} for i, d in self.out_e.items()},
-            {i: {j: set(s) for j, s in d.items()} for i, d in self.in_e.items()},
-            self.next_id,
-            self.edge_ver,
-        )
+    def snapshot(self) -> int:
+        """A mark to come back to: the current length of the trail."""
+        return len(self._trail)
 
-    def restore(self, snap):
-        nodes, out_e, in_e, next_id, self.edge_ver = snap
-        self.nodes = {i: n.clone() for i, n in nodes.items()}
-        self.out_e = {i: {j: set(s) for j, s in d.items()} for i, d in out_e.items()}
-        self.in_e = {i: {j: set(s) for j, s in d.items()} for i, d in in_e.items()}
-        self.next_id = next_id
+    def restore(self, mark: int) -> None:
+        """Undo every change made since snapshot() returned mark."""
+        trail = self._trail
+        while len(trail) > mark:
+            fn, a, b = trail.pop()
+            if fn is None:
+                setattr(self, a, b)
+            else:
+                fn(a, b)
         self._rev += 1
         self._block_cache.clear()
 
     def clone(self) -> "CompletionGraph":
+        """An independent copy with an empty trail; only a graph without
+        open branch points can be cloned."""
+        if self.branch_stack:
+            raise ValueError("cannot clone a graph with open branch points")
         g = CompletionGraph(self.kb, self.unit, self.max_nodes,
                             self.max_branches)
         g.nodes = {i: n.clone() for i, n in self.nodes.items()}
@@ -271,11 +358,7 @@ class CompletionGraph:
         g.next_id = self.next_id
         g._clock = self._clock
         g.edge_ver = self.edge_ver
-        g.branch_stack = [BranchPoint(bp.kind, bp.node, list(bp.alternatives),
-                                      bp.snapshot)
-                          for bp in self.branch_stack]
         g.branch_count = self.branch_count
-        g.clash_oracle = self.clash_oracle
         return g
 
     # -- label parts ------------------------------------------------------------
@@ -620,10 +703,12 @@ def _mergeable_away(g: CompletionGraph, y: NodeId) -> bool:
 
 def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
     gnode = g.nodes[gone]
-    knode = g.nodes[keep]
-    knode.label |= gnode.label
+    klabel = g.nodes[keep].label
+    for c in gnode.label - klabel:
+        klabel.add(c)
+        g._trail.append((set.discard, klabel, c))
     for z in list(gnode.distinct):
-        g.nodes[z].distinct.discard(gone)
+        g._discard(g.nodes[z].distinct, gone)
         g.set_distinct(z, keep)
     for y, labels in list(g.out_e[gone].items()):
         for p in labels:
@@ -635,19 +720,15 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
                 g.add_edge(y, keep, p)
     for child in g.nodes.values():
         if child.parent == gone:
-            child.parent = keep
-            child.origin = ("generated", keep)
+            g._reparent(child, keep, ("generated", keep))
     for y in list(g.out_e[gone]):
-        g.in_e[y].pop(gone, None)
+        g._pop(g.in_e[y], gone)
     for y in list(g.in_e[gone]):
-        g.out_e[y].pop(gone, None)
-    del g.out_e[gone]
-    del g.in_e[gone]
-    del g.nodes[gone]
+        g._pop(g.out_e[y], gone)
+    for d in (g.out_e, g.in_e, g.nodes):
+        g._pop(d, gone)
     g._rev += 1
-    v = g.edge_ver = next(g._clock)
-    for n in g.nodes.values():
-        n.ver = v
+    g._bump_all()
 
 
 # ---------------------------------------------------------------------------
@@ -790,13 +871,18 @@ def expand_local(g: CompletionGraph) -> bool:
     a clash-free, locally complete state is reached; False when every
     branch closes.
 
+    A branch point takes the trail mark before its first alternative; a
+    clash undoes the trail back to the mark of the newest branch point
+    with alternatives left and applies the next one, so a backtrack costs
+    the changes made since that mark, not the size of the graph.
+
     Each step finds the same clash and the same action as a full rescan
     would, but skips nodes whose version and blocked kind say that nothing
     they can see changed since a check there found nothing.  The rule memo
-    lives on the graph and survives backtracking, since a restore brings
-    back the versions that went with the restored state.  The clash memo
-    starts empty at every call, because the clash oracle may learn between
-    calls (never during one)."""
+    lives on the graph and survives backtracking, since undoing the trail
+    puts back the versions that went with the restored state.  The clash
+    memo starts empty at every call, because the clash oracle may learn
+    between calls (never during one)."""
     clash_free: dict[tuple[NodeId, int], bool] = {}
     while True:
         clash = _next_clash(g, clash_free)

@@ -130,6 +130,16 @@ def test_internalization_triangle_u2():
     assert ck == make_and([gci, onto], "u2")
 
 
+def test_internalization_built_on_first_use():
+    kb = conference_triangle_kb()
+    assert kb._internalizations == {}
+    ck = kb.internalization("u3")
+    assert kb._internalizations == {"u3": ck}
+    assert kb.internalization("u3") is ck
+    with pytest.raises(KeyError):
+        kb.internalization("u9")
+
+
 def test_internalization_is_pure_function_of_kb():
     kb1 = conference_triangle_kb()
     kb2 = conference_triangle_kb()

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
 from ontomesh.io import load_kb, parse_concept
 from ontomesh.model import Atom
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import (
-    HOLED, READY, InconclusiveError, LoopbackSession, PeerConfig,
+    HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
 )
 from ontomesh.protocol import ProtocolError
 
@@ -348,3 +351,42 @@ def test_reentrant_serve_respects_depth_limit():
     with pytest.raises(InconclusiveError):
         _session(_reentrant_kb(), serve_depth_limit=1).is_satisfiable(goal)
     assert _session(_reentrant_kb(), serve_depth_limit=2).is_satisfiable(goal)
+
+
+# -- session lifetime ------------------------------------------------------------
+
+def test_dropped_session_is_freed_by_reference_counting(monkeypatch):
+    """No reference cycle keeps a session, its peers or their skeletons
+    alive once the caller drops it; serving copies still consult the
+    doom oracle, now set per working copy instead of on the skeleton."""
+    calls = {"serving": 0, "in_serve": 0}
+    doom_oracle, serve = Peer.doom_oracle, Peer.serve
+
+    def counted_oracle(self, graph, node):
+        calls["in_serve"] += calls["serving"] > 0
+        return doom_oracle(self, graph, node)
+
+    def counted_serve(self, pkg):
+        calls["serving"] += 1
+        try:
+            return serve(self, pkg)
+        finally:
+            calls["serving"] -= 1
+
+    monkeypatch.setattr(Peer, "doom_oracle", counted_oracle)
+    monkeypatch.setattr(Peer, "serve", counted_serve)
+    gc.disable()
+    try:
+        session = _session(conference_triangle_kb())
+        session.classify("u3")
+        assert session.metrics_snapshot()["u3"]["packages_sent"] > 0
+        assert calls["in_serve"] > 0
+        peer = session.peers["u2"]
+        assert all(p.skeleton.clash_oracle is None
+                   for p in session.peers.values())
+        refs = [weakref.ref(session), weakref.ref(peer),
+                weakref.ref(peer.skeleton)]
+        del session, peer
+        assert [r() is None for r in refs] == [True, True, True]
+    finally:
+        gc.enable()

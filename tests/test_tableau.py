@@ -515,3 +515,129 @@ def test_mark_sent_bumps_node_version():
     mark_sent(g, ob)
     assert g.nodes[ob.node].ver > ver
     assert g.nodes[ob.node].corr[ob.dest_unit].sent_fragment == ob.fragment
+
+
+# -- the trail -------------------------------------------------------------------
+
+def _copied_state(g):
+    """The graph state as the copying snapshot took it: every node cloned,
+    every edge set copied."""
+    return ({i: n.clone() for i, n in g.nodes.items()},
+            {i: {j: set(s) for j, s in d.items()} for i, d in g.out_e.items()},
+            {i: {j: set(s) for j, s in d.items()} for i, d in g.in_e.items()},
+            g.next_id, g.edge_ver)
+
+
+def _assert_state(g, state):
+    nodes, out_e, in_e, next_id, edge_ver = state
+    assert sorted(g.nodes) == sorted(nodes) and g.next_id == next_id
+    for x, old in nodes.items():
+        n = g.nodes[x]
+        assert n.id == x and n.unit == old.unit
+        assert n.label == old.label and n.distinct == old.distinct
+        assert (n.parent, n.origin) == (old.parent, old.origin)
+        assert sorted(n.corr) == sorted(old.corr)
+        for u, st in old.corr.items():
+            now = n.corr[u]
+            assert (now.target_individual, now.requester, now.sent_fragment) \
+                == (st.target_individual, st.requester, st.sent_fragment)
+        assert n.ver == old.ver
+    assert g.edge_ver == edge_ver
+    assert g.out_e == out_e and g.in_e == in_e
+    assert all(s for d in g.out_e.values() for s in d.values())
+    assert all(s for d in g.in_e.values() for s in d.values())
+
+
+@pytest.fixture
+def checked_trail(monkeypatch):
+    """Keep a copy of the graph state at every snapshot(), and check that
+    every restore() brings that state back exactly.  Counts restores, and
+    restores that brought back a node a merge had deleted."""
+    steps = Counter()
+    states = {}
+    snapshot = tableau.CompletionGraph.snapshot
+    restore = tableau.CompletionGraph.restore
+
+    def checked_snapshot(g):
+        mark = snapshot(g)
+        states[id(g), mark] = (g, _copied_state(g))
+        return mark
+
+    def checked_restore(g, mark):
+        before = set(g.nodes)
+        restore(g, mark)
+        _assert_state(g, states[id(g), mark][1])
+        steps["restores"] += 1
+        steps["merges_undone"] += any(x not in before for x in g.nodes)
+
+    monkeypatch.setattr(tableau.CompletionGraph, "snapshot", checked_snapshot)
+    monkeypatch.setattr(tableau.CompletionGraph, "restore", checked_restore)
+    return steps
+
+
+@pytest.mark.parametrize("make_kb", [
+    articles_linked_kb, articles_overlap_kb, conference_square_kb,
+    conference_triangle_kb])
+def test_trail_restores_copied_state_on_figures(make_kb, checked_trail):
+    kb = make_kb()
+    session = LoopbackSession(kb)
+    for unit in kb.unit_order:
+        session.classify(unit)
+    assert checked_trail["restores"] > 0
+
+
+@pytest.mark.parametrize("bad", [None, 2])
+def test_trail_restores_copied_state_on_transitive_abox(bad, checked_trail):
+    verdict, _ = LoopbackSession(_transitive_abox_kb(bad)).check_consistency()
+    assert verdict == ("consistent" if bad is None else "inconsistent")
+    assert checked_trail["restores"] > 0
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("(and (some r A) (some r B) (max 1 r top))", True),
+    ("(and (some r A) (some r (not A)) (max 1 r top))", False),
+    ("(and (min 3 r A) (max 2 r A))", False),
+    ("(and (some r (some r A)) (all r (all r (not A))))", False),
+    ("(and (min 2 r A) (some r B) (max 2 r top) (all r (not (and A B))))",
+     False),
+    ("(and (or A (not A)) (some r (and B (some r A))) (some r (not B))"
+     " (max 1 r top))", False),
+] + SINGLE_UNIT_CASES)
+def test_trail_restores_copied_state_on_number_restrictions(
+        text, expected, checked_trail):
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)")
+    ok, _ = _local_sat(kb, "u1", text)
+    assert ok is expected
+
+
+def test_trail_undoes_a_merge(checked_trail):
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)")
+    ok, _ = _local_sat(kb, "u1",
+                       "(and (some r A) (some r (not A)) (max 1 r top))")
+    assert not ok
+    assert checked_trail["merges_undone"] > 0
+
+
+def test_clone_with_open_branch_points_raises():
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)")
+    g = init_graph(kb, "u1", parse_concept("(or A B)", "u1"))
+    assert expand_local(g)
+    assert g.branch_stack
+    with pytest.raises(ValueError):
+        g.clone()
+
+
+def test_fresh_clone_undoes_back_to_its_own_mark():
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)")
+    g = init_graph(kb, "u1", parse_concept(
+        "(and (some r A) (some r B) (max 1 r top))", "u1"))
+    skeleton = _copied_state(g)
+    copy = g.clone()
+    mark = copy.snapshot()
+    assert mark == 0 and not copy.branch_stack
+    state = _copied_state(copy)
+    assert expand_local(copy)
+    assert len(copy.nodes) > len(g.nodes)
+    copy.restore(mark)
+    _assert_state(copy, state)
+    _assert_state(g, skeleton)
