@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .model import (
     INTO,
@@ -423,12 +424,19 @@ def parse_coupling(document: str | dict) -> Coupling:
             raise SchemaError(f"{ref!r} must be unit-qualified")
         return default_unit, str(ref)
 
+    def entry(what: str, obj, *required: str) -> dict:
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{what} {obj!r} is not an object")
+        missing = [k for k in required if k not in obj]
+        if missing:
+            raise SchemaError(f"{what} {obj!r} needs {', '.join(missing)}")
+        return obj
+
     for m in doc.get("mappings", []):
-        if not isinstance(m, dict) or "source_unit" not in m:
-            raise SchemaError("each mapping needs a source_unit")
+        entry("mapping", m, "source_unit")
         src_unit = str(m["source_unit"])
         for rule in m.get("bridge_rules", []):
-            kind = rule.get("kind")
+            kind = entry("bridge rule", rule, "kind", "source", "target")["kind"]
             if kind not in (ONTO, INTO):
                 raise SchemaError(f"bridge rule kind must be onto/into, got {kind!r}")
             su, sn = split_q(rule["source"], src_unit)
@@ -441,6 +449,7 @@ def parse_coupling(document: str | dict) -> Coupling:
             coup.bridge_rules.append(
                 BridgeRule(kind, Atom(su, sn), Atom(tu, tn)))
         for ic in m.get("individual_correspondences", []):
+            entry("correspondence", ic, "foreign", "local")
             fu, fn = split_q(ic["foreign"], src_unit)
             lu, ln = split_q(ic["local"], holder)
             if lu != holder:
@@ -450,8 +459,7 @@ def parse_coupling(document: str | dict) -> Coupling:
                 IndividualCorrespondence(fu, fn, ln))
 
     for ld in doc.get("links", []):
-        if "name" not in ld or "target_unit" not in ld:
-            raise SchemaError("each link needs name and target_unit")
+        entry("link", ld, "name", "target_unit")
         coup.links.append(LinkDecl(
             name=str(ld["name"]),
             target_unit=str(ld["target_unit"]),
@@ -459,7 +467,7 @@ def parse_coupling(document: str | dict) -> Coupling:
             parents=tuple(ld.get("parents", []))))
 
     for la in doc.get("link_assertions", []):
-        link = str(la["link"])
+        link = str(entry("link assertion", la, "from", "link", "to")["link"])
         target = next((l.target_unit for l in coup.links if l.name == link), None)
         if target is None:
             raise SchemaError(f"link assertion uses undeclared link {link!r}")
@@ -543,6 +551,7 @@ def load_kb(unit_texts: list[str],
 
 
 def load_kb_paths(unit_paths: list[str], coupling_paths: list[str]) -> DistributedKB:
-    unit_texts = [open(p, encoding="utf-8").read() for p in unit_paths]
-    coupling_docs = [open(p, encoding="utf-8").read() for p in coupling_paths]
+    unit_texts = [Path(p).read_text(encoding="utf-8") for p in unit_paths]
+    coupling_docs = [Path(p).read_text(encoding="utf-8")
+                     for p in coupling_paths]
     return load_kb(unit_texts, coupling_docs)

@@ -59,9 +59,8 @@ class PhaseError(Exception):
 @dataclass
 class PeerConfig:
     max_nodes: int = 4000
-    # on: projection answers and known clashes carry from one task to the
-    # next for the session's lifetime; off: every task starts from none.
-    # Within one task the clash memo applies either way.
+    # on: each peer's projection cache lives as long as the session;
+    # off: every task starts with a new one
     use_cache: bool = True
     reverse_updates: bool = True
     audit: bool = False
@@ -110,43 +109,10 @@ class Peer:
         self._serving: set[tuple[str, bytes]] = set()
         self._serve_depth = 0
         self._lock = threading.RLock()
-        # fragments whose projection is known to clash at a destination;
-        # monotone labels make any superset fragment clash as well, so the
-        # engine can fail such branches before completing them.  Within a
-        # task it always applies; it outlives the task only when
-        # config.use_cache is on (the session clears it otherwise)
-        self._doomed: dict[str, list[tuple[frozenset, str | None]]] = {}
-
-    def _record_doom(self, dest: str, fragment, target: str | None):
-        entry = (frozenset(fragment), target)
-        bucket = self._doomed.setdefault(dest, [])
-        if entry not in bucket:
-            bucket.append(entry)
 
     def doom_oracle(self, graph, node_id) -> str | None:
-        """Early-clash check set on each working copy of this peer's
-        skeleton: a node whose eventual projection covers a fragment that
-        already clashed cannot stand."""
-        if not self._doomed:
-            return None
-        node = graph.nodes[node_id]
-        foreign = set()
-        homes = set()
-        for c in node.label:
-            if c.home != graph.unit:
-                foreign.add(c)
-                homes.add(c.home)
-        if not foreign:
-            return None
-        for dest, entries in self._doomed.items():
-            st = node.corr.get(dest)
-            named = st.target_individual if st is not None else None
-            if dest not in homes and named is None:
-                continue
-            for frag, target in entries:
-                if target == named and frag <= foreign:
-                    return f"projection to {dest} is known to clash"
-        return None
+        """Early-clash check for each working copy of this peer's skeleton."""
+        return self.cache.known_clash(graph, node_id)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -210,8 +176,8 @@ class Peer:
                         ob = obligations[i]
                         clashed_nodes.add(ob.node)
                         if payload != JOINT:
-                            self._record_doom(ob.dest_unit, ob.fragment,
-                                              ob.target_individual)
+                            self.cache.record_clash(ob.dest_unit, ob.fragment,
+                                                    ob.target_individual)
             out = []
             for i, ob in enumerate(obligations):
                 if i in results:
@@ -259,9 +225,9 @@ class Peer:
         self.metrics.packages_received += 1
         key = (pkg.frm, pkg.content_bytes())
         with self._lock:
-            if key in self._serving or self._serve_depth >= self.config.serve_depth_limit:
-                if self._serve_depth >= self.config.serve_depth_limit:
-                    return tuple((INCONCLUSIVE, None) for _ in pkg.items), False
+            if self._serve_depth >= self.config.serve_depth_limit:
+                return tuple((INCONCLUSIVE, None) for _ in pkg.items), False
+            if key in self._serving:
                 return tuple((ADDITIONS, ()) for _ in pkg.items), False
             self._serving.add(key)
             self._serve_depth += 1
@@ -348,7 +314,7 @@ class LoopbackSession:
         for p in self.peers.values():
             p.metrics = Metrics()
             if not self.config.use_cache:
-                p._doomed.clear()
+                p.cache = ProjectionCache()
 
     def _ready_peers(self):
         return [self.peers[u] for u in self.kb.unit_order

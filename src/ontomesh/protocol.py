@@ -2,8 +2,8 @@
 
 Carries label fragments between peers as packaged projection requests,
 serves inbound packages against a working copy of the local graph, caches
-responses for byte-identical packages, and rewrites the vocabulary of
-holed units away.
+responses for byte-identical packages and the fragments whose projection
+clashed, and rewrites the vocabulary of holed units away.
 
 Serving is one synchronous call: a package's outcomes are the return value
 of its serve, and every package the serve sends downstream is answered
@@ -57,6 +57,9 @@ class ProtocolError(Exception):
 
 class CacheOverflow(ProtocolError):
     """The projection cache hit its byte budget; it never evicts."""
+
+
+BYTE_BUDGET = 64 * 1024 * 1024  # of exact answers, per projection cache
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +135,15 @@ JOINT = "joint"
 # ---------------------------------------------------------------------------
 
 class ProjectionCache:
-    """Exact-match, write-once store of packaged requests and their
-    responses.  No eviction: an overall byte budget aborts loudly instead,
-    keeping runs deterministic."""
+    """What a peer learned from its projections: a write-once store of
+    packaged requests and their responses, and per destination the
+    (fragment, named target) pairs whose projection clashed there.  No
+    eviction: a byte budget aborts loudly instead, keeping runs repeatable."""
 
-    def __init__(self, byte_budget: int = 64 * 1024 * 1024):
+    def __init__(self):
         self._store: dict[tuple[str, bytes], tuple] = {}
+        self._clashes: dict[str, set[tuple[frozenset, str | None]]] = {}
         self._bytes = 0
-        self._budget = byte_budget
         self._lock = threading.Lock()
 
     def lookup(self, to: str, pkg: ProjectionPackage):
@@ -153,9 +157,38 @@ class ProjectionCache:
             if key in self._store:
                 return
             self._bytes += len(key[1]) + 64 * len(outcomes)
-            if self._bytes > self._budget:
+            if self._bytes > BYTE_BUDGET:
                 raise CacheOverflow("projection cache exceeded its byte budget")
             self._store[key] = outcomes
+
+    def record_clash(self, to: str, fragment, target: str | None):
+        with self._lock:
+            self._clashes.setdefault(to, set()).add((frozenset(fragment),
+                                                     target))
+
+    def known_clash(self, graph: CompletionGraph, node_id) -> str | None:
+        """Labels only grow: a node covering a clashed fragment cannot stand."""
+        with self._lock:
+            if not self._clashes:
+                return None
+            node = graph.nodes[node_id]
+            foreign = set()
+            homes = set()
+            for c in node.label:
+                if c.home != graph.unit:
+                    foreign.add(c)
+                    homes.add(c.home)
+            if not foreign:
+                return None
+            for dest, entries in self._clashes.items():
+                st = node.corr.get(dest)
+                named = st.target_individual if st is not None else None
+                if dest not in homes and named is None:
+                    continue
+                for frag, target in entries:
+                    if target == named and frag <= foreign:
+                        return f"projection to {dest} is known to clash"
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ NodeId = int
 
 
 class BudgetExceeded(Exception):
-    """Node budget ran out; reported as inconclusive, never as a verdict."""
+    """A node or branch budget ran out; inconclusive, never a verdict."""
 
 
 class Outcome(Enum):
@@ -76,6 +76,8 @@ CLASH = "clash"
 ADDITIONS = "additions"
 INCONCLUSIVE = "inconclusive"
 SKIPPED = "skipped"
+
+MAX_BRANCHES = 100_000  # branch alternatives one graph may take
 
 
 @dataclass
@@ -180,12 +182,10 @@ def _put(d: dict, item: tuple) -> None:
 
 
 class CompletionGraph:
-    def __init__(self, kb: DistributedKB, unit: UnitId, max_nodes: int = 4000,
-                 max_branches: int = 100_000):
+    def __init__(self, kb: DistributedKB, unit: UnitId, max_nodes: int = 4000):
         self.kb = kb
         self.unit = unit
         self.max_nodes = max_nodes
-        self.max_branches = max_branches
         self.nodes: dict[NodeId, Node] = {}
         self.out_e: dict[NodeId, dict[NodeId, set[Property]]] = {}
         self.in_e: dict[NodeId, dict[NodeId, set[Property]]] = {}
@@ -348,8 +348,7 @@ class CompletionGraph:
         open branch points can be cloned."""
         if self.branch_stack:
             raise ValueError("cannot clone a graph with open branch points")
-        g = CompletionGraph(self.kb, self.unit, self.max_nodes,
-                            self.max_branches)
+        g = CompletionGraph(self.kb, self.unit, self.max_nodes)
         g.nodes = {i: n.clone() for i, n in self.nodes.items()}
         g.out_e = {i: {j: set(s) for j, s in d.items()}
                    for i, d in self.out_e.items()}
@@ -819,14 +818,17 @@ def _apply_action(g: CompletionGraph, action) -> None:
     elif kind == "branch":
         _, rule, x, alternatives = action
         bp = BranchPoint(rule, x, list(alternatives), g.snapshot())
-        first = bp.alternatives.pop(0)
         g.branch_stack.append(bp)
-        g.branch_count += 1
-        if g.branch_count > g.max_branches:
-            raise BudgetExceeded(f"more than {g.max_branches} branches")
-        _apply_action(g, first)
+        _take_branch(g, bp.alternatives.pop(0))
     else:
         raise AssertionError(f"unknown action {kind}")
+
+
+def _take_branch(g: CompletionGraph, alternative: tuple) -> None:
+    g.branch_count += 1
+    if g.branch_count > MAX_BRANCHES:
+        raise BudgetExceeded(f"more than {MAX_BRANCHES} branches")
+    _apply_action(g, alternative)
 
 
 def _backtrack(g: CompletionGraph) -> bool:
@@ -834,11 +836,7 @@ def _backtrack(g: CompletionGraph) -> bool:
         bp = g.branch_stack[-1]
         if bp.alternatives:
             g.restore(bp.snapshot)
-            nxt = bp.alternatives.pop(0)
-            g.branch_count += 1
-            if g.branch_count > g.max_branches:
-                raise BudgetExceeded(f"more than {g.max_branches} branches")
-            _apply_action(g, nxt)
+            _take_branch(g, bp.alternatives.pop(0))
             return True
         g.branch_stack.pop()
     return False

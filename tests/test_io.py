@@ -159,6 +159,26 @@ def test_coupling_unknown_field():
         parse_coupling({"unit": "u1", "bridges": []})
 
 
+_TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
+              "(unit u2)\n(concept A)\n(individual x)"]
+
+
+@pytest.mark.parametrize("coupling, named", [
+    ({"mappings": [{"source_unit": "u2", "bridge_rules": [
+        {"kind": "onto", "target": "u1:B"}]}]}, "bridge rule"),
+    ({"mappings": [{"source_unit": "u2", "individual_correspondences": [
+        {"local": "u1:y"}]}]}, "correspondence"),
+    ({"links": [{"name": "r", "target_unit": "u2"}],
+      "link_assertions": [{"from": "u1:y", "to": "u2:x"}]}, "link assertion"),
+    ({"mappings": [{"source_unit": "u2", "bridge_rules": [
+        "onto u2:A u1:B"]}]}, "bridge rule 'onto u2:A u1:B'"),
+], ids=["rule-without-source", "correspondence-without-foreign",
+        "assertion-without-link", "rule-as-string"])
+def test_malformed_coupling_entry_fails_to_load(coupling, named):
+    with pytest.raises(LoadError, match=named):
+        load_kb(_TWO_UNITS, [{"unit": "u1", **coupling}])
+
+
 def test_load_kb_square_matches_expectation():
     kb = conference_square_kb()
     assert set(kb.unit_order) == {"u1", "u2", "u3", "u4"}

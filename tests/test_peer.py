@@ -9,7 +9,7 @@ from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import (
     HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
 )
-from ontomesh.protocol import ProtocolError
+from ontomesh.protocol import ProjectionCache, ProtocolError
 
 from figures import (
     articles_linked_kb, articles_overlap_kb, conference_square_kb,
@@ -257,7 +257,65 @@ def test_cache_disabled_keeps_clash_memo_within_task():
         s = _session(articles_linked_kb(), use_cache=flag)
         taxonomies.append(s.classify("u1"))
     assert taxonomies[0] == taxonomies[1]
-    assert s.peers["u1"]._doomed
+    assert s.peers["u1"].cache._clashes
+
+
+def _watch_clashes(monkeypatch) -> list[str]:
+    """Log every clash-entry hit and every recorded clash, in order."""
+    events = []
+    known, record = ProjectionCache.known_clash, ProjectionCache.record_clash
+
+    def watched_known(self, graph, node):
+        reason = known(self, graph, node)
+        if reason is not None:
+            events.append("hit")
+        return reason
+
+    def watched_record(self, *args):
+        events.append("record")
+        return record(self, *args)
+
+    monkeypatch.setattr(ProjectionCache, "known_clash", watched_known)
+    monkeypatch.setattr(ProjectionCache, "record_clash", watched_record)
+    return events
+
+
+def test_cache_on_prunes_the_next_task_with_earlier_clashes(monkeypatch):
+    s = _session(conference_square_kb())
+    assert s.is_subsumed(Atom("u1", "MedicalArticle"), Atom("u1", "Article"))
+    cache = s.peers["u1"].cache
+    assert cache._clashes
+    events = _watch_clashes(monkeypatch)
+    assert not s.is_subsumed(Atom("u1", "MedicalArticle"),
+                             Atom("u1", "MedicalConference"))
+    # the same cache, and it prunes before this task records any clash
+    assert s.peers["u1"].cache is cache
+    assert events[0] == "hit"
+
+
+def test_cache_off_starts_each_task_with_a_new_empty_cache(monkeypatch):
+    s = _session(conference_square_kb(), use_cache=False)
+    begin = LoopbackSession._begin_task
+    at_start = []   # (cache, empty) per peer at each task start
+
+    def watched_begin(self):
+        begin(self)
+        at_start.extend((p.cache, not (p.cache._clashes or p.cache._store))
+                        for p in self.peers.values())
+
+    monkeypatch.setattr(LoopbackSession, "_begin_task", watched_begin)
+    events = _watch_clashes(monkeypatch)
+    at_end = []
+    for sup in ("Article", "MedicalConference"):
+        events.clear()
+        s.is_subsumed(Atom("u1", "MedicalArticle"), Atom("u1", sup))
+        # nothing carried over: this task's first clash is its own
+        assert events[0] == "record"
+        at_end.append(s.peers["u1"].cache)
+        assert at_end[-1]._clashes
+    assert all(empty for _, empty in at_start)
+    assert len({id(c) for c, _ in at_start}) == len(at_start)
+    assert at_end[0] is not at_end[1]
 
 
 def test_outcomes_identical_with_and_without_cache():

@@ -1,9 +1,16 @@
 import json
 
+import pytest
+
+import ontomesh.protocol
+from ontomesh.io import load_kb
 from ontomesh.model import (
     And, Atom, AtLeast, AtMost, Bottom, Exists, ForAll, Not, Or, Property, Top,
 )
-from ontomesh.protocol import ProjectionItem, ProjectionPackage
+from ontomesh.protocol import (
+    CacheOverflow, ProjectionCache, ProjectionItem, ProjectionPackage,
+)
+from ontomesh.tableau import init_graph
 
 
 B, D = Atom("u2", "B"), Atom("u2", "D")
@@ -49,3 +56,60 @@ def test_package_payload_is_pinned():
         '"target_individual": null, "trigger_origin": "u1"}]}'
     )
     assert json.dumps(pkg.to_payload()) == expected
+
+
+# -- projection cache --------------------------------------------------------------
+
+def _u1_root(*label, named=None):
+    """A u1 graph whose root carries label, with an optional named
+    projection target in u2; returns (graph, root id)."""
+    kb = load_kb(["(unit u1)\n(concept A)",
+                  "(unit u2)\n(concept B)\n(concept D)",
+                  "(unit u3)\n(concept F)"])
+    g = init_graph(kb, "u1")
+    for c in label:
+        g.add_label(0, c)
+    if named is not None:
+        g.set_corr(0, "u2", target_individual=named)
+    return g, 0
+
+
+def test_known_clash_hits_a_superset_foreign_label():
+    cache = ProjectionCache()
+    cache.record_clash("u2", (B,), None)
+    assert cache.known_clash(*_u1_root(Atom("u1", "A"), B)) is not None
+    assert cache.known_clash(*_u1_root(Atom("u1", "A"), B, Not(D))) == \
+        "projection to u2 is known to clash"
+    assert cache.known_clash(*_u1_root(Atom("u1", "A"), D)) is None
+
+
+def test_known_clash_misses_when_the_named_target_differs():
+    cache = ProjectionCache()
+    cache.record_clash("u2", (B,), "b")
+    assert cache.known_clash(*_u1_root(B, named="b")) is not None
+    assert cache.known_clash(*_u1_root(B, named="c")) is None
+    assert cache.known_clash(*_u1_root(B)) is None
+
+
+def test_known_clash_skips_a_destination_neither_home_nor_named():
+    # the fragment is covered and no target is named on either side, but
+    # nothing in the label lives in u3 and nothing names a u3 individual
+    cache = ProjectionCache()
+    cache.record_clash("u3", (B,), None)
+    assert cache.known_clash(*_u1_root(B)) is None
+    assert cache.known_clash(*_u1_root(B, Atom("u3", "F"))) is not None
+
+
+def test_store_raises_cache_overflow_past_the_byte_budget(monkeypatch):
+    pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", items=(
+        ProjectionItem(source_node=0, fragment=(B,)),))
+    answer = (("additions", ()),)
+    size = len(pkg.content_bytes()) + 64
+    monkeypatch.setattr(ontomesh.protocol, "BYTE_BUDGET", size)
+    cache = ProjectionCache()
+    cache.store("u2", pkg, answer)
+    assert cache.lookup("u2", pkg) == answer
+    cache.store("u2", pkg, answer)   # stored once, counted once
+    with pytest.raises(CacheOverflow):
+        cache.store("u3", pkg, answer)
+    assert cache.lookup("u3", pkg) is None
