@@ -432,10 +432,16 @@ def parse_coupling(document: str | dict) -> Coupling:
             raise SchemaError(f"{what} {obj!r} needs {', '.join(missing)}")
         return obj
 
-    for m in doc.get("mappings", []):
+    def section(obj: dict, key: str) -> list:
+        value = obj.get(key, [])
+        if not isinstance(value, list):
+            raise SchemaError(f"{key} {value!r} is not a list")
+        return value
+
+    for m in section(doc, "mappings"):
         entry("mapping", m, "source_unit")
         src_unit = str(m["source_unit"])
-        for rule in m.get("bridge_rules", []):
+        for rule in section(m, "bridge_rules"):
             kind = entry("bridge rule", rule, "kind", "source", "target")["kind"]
             if kind not in (ONTO, INTO):
                 raise SchemaError(f"bridge rule kind must be onto/into, got {kind!r}")
@@ -448,7 +454,7 @@ def parse_coupling(document: str | dict) -> Coupling:
                 raise SchemaError(f"bridge target {rule['target']!r} is not local")
             coup.bridge_rules.append(
                 BridgeRule(kind, Atom(su, sn), Atom(tu, tn)))
-        for ic in m.get("individual_correspondences", []):
+        for ic in section(m, "individual_correspondences"):
             entry("correspondence", ic, "foreign", "local")
             fu, fn = split_q(ic["foreign"], src_unit)
             lu, ln = split_q(ic["local"], holder)
@@ -458,15 +464,15 @@ def parse_coupling(document: str | dict) -> Coupling:
             coup.individual_correspondences.append(
                 IndividualCorrespondence(fu, fn, ln))
 
-    for ld in doc.get("links", []):
+    for ld in section(doc, "links"):
         entry("link", ld, "name", "target_unit")
         coup.links.append(LinkDecl(
             name=str(ld["name"]),
             target_unit=str(ld["target_unit"]),
             transitive=bool(ld.get("transitive", False)),
-            parents=tuple(ld.get("parents", []))))
+            parents=tuple(section(ld, "parents"))))
 
-    for la in doc.get("link_assertions", []):
+    for la in section(doc, "link_assertions"):
         link = str(entry("link assertion", la, "from", "link", "to")["link"])
         target = next((l.target_unit for l in coup.links if l.name == link), None)
         if target is None:

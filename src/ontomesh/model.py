@@ -516,9 +516,9 @@ class Violation:
 class DistributedKB:
     """All units plus all couplings, with derived lookup tables.
 
-    Immutable after construction, apart from the internalizations, which
-    are built on first use; threads that race build the same interned
-    value.  Share freely between threads.
+    Immutable after construction, apart from the internalizations and the
+    forall-plus role lists, which are built on first use; threads that
+    race build the same interned value.  Share freely between threads.
     """
 
     units: dict[UnitId, UnitKB]
@@ -528,6 +528,8 @@ class DistributedKB:
     _neighbors: dict[UnitId, set[UnitId]] = field(default_factory=dict)
     _subsumers: dict[Property, frozenset[Property]] = field(default_factory=dict)
     _transitive: set[Property] = field(default_factory=set)
+    _trans_subroles: dict[Property, tuple[Property, ...]] = field(
+        default_factory=dict, compare=False)
     _internalizations: dict[UnitId, Concept] = field(default_factory=dict,
                                                      compare=False)
 
@@ -635,8 +637,19 @@ class DistributedKB:
             p = p.inverse()
         return p in self._transitive
 
-    def transitive_properties(self) -> set[Property]:
-        return set(self._transitive)
+    def transitive_subroles(self, p: Property) -> tuple[Property, ...]:
+        """The roles R of the forall-plus rule for forall p.C, in key order:
+        each transitive R included in p, or for a link p the role side of
+        each transitive link included in it.  Built once per p."""
+        if not self._transitive:
+            return ()
+        out = self._trans_subroles.get(p)
+        if out is None:
+            out = self._trans_subroles[p] = tuple(sorted(
+                {q if q.is_role else Property(q.name, q.home, q.home)
+                 for q in self.sub_properties(p) if self.is_transitive(q)},
+                key=by_key))
+        return out
 
     def is_simple(self, p: Property) -> bool:
         """No transitive property below p in the hierarchy."""
@@ -726,6 +739,11 @@ class DistributedKB:
             out |= subconcepts(self.internalization(u))
         if goal is not None:
             out |= subconcepts(nnf(goal))
+        # forall R.C of the forall-plus rule, and what it adds in turn at
+        # each role side R of a link
+        for c in [c for c in out if isinstance(c, ForAll)]:
+            for r in self.transitive_subroles(c.prop):
+                out |= {ForAll(q, c.filler) for q in self.transitive_subroles(r)}
         out |= {neg(c) for c in list(out)}
         return out
 

@@ -47,6 +47,8 @@ READY = "ready"
 HOLED = "holed"
 FAILED = "failed"
 
+SERVE_DEPTH_LIMIT = 64  # nested serves one peer may have open
+
 
 class InconclusiveError(Exception):
     """A budget ran out; the question is open, not answered."""
@@ -58,13 +60,11 @@ class PhaseError(Exception):
 
 @dataclass
 class PeerConfig:
-    max_nodes: int = 4000
     # on: each peer's projection cache lives as long as the session;
     # off: every task starts with a new one
     use_cache: bool = True
     reverse_updates: bool = True
     audit: bool = False
-    serve_depth_limit: int = 64
 
 
 @dataclass
@@ -122,7 +122,7 @@ class Peer:
         self.phase = INITIALIZING
         others = set(self.kb_full.unit_order) - {self.unit}
         isolated = handle_hole(self.kb_full, others)
-        graph = init_graph(isolated, self.unit, max_nodes=self.config.max_nodes)
+        graph = init_graph(isolated, self.unit)
         try:
             outcome = expand_to_completion(graph)
         except BudgetExceeded:
@@ -140,8 +140,7 @@ class Peer:
             return
         self.holes = set(holed)
         self.kb = handle_hole(self.kb_full, self.holes)
-        self.skeleton = init_graph(self.kb, self.unit,
-                                   max_nodes=self.config.max_nodes)
+        self.skeleton = init_graph(self.kb, self.unit)
 
     # -- outbound projections ----------------------------------------------------
 
@@ -225,7 +224,7 @@ class Peer:
         self.metrics.packages_received += 1
         key = (pkg.frm, pkg.content_bytes())
         with self._lock:
-            if self._serve_depth >= self.config.serve_depth_limit:
+            if self._serve_depth >= SERVE_DEPTH_LIMIT:
                 return tuple((INCONCLUSIVE, None) for _ in pkg.items), False
             if key in self._serving:
                 return tuple((ADDITIONS, ()) for _ in pkg.items), False

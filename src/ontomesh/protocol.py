@@ -246,8 +246,8 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     opens a new node labelled with the fragment.  The copy is expanded to
     completion with clash_oracle as its early-clash check; downstream
     obligations leave through the hook.  Per item the outcome is a clash or
-    the set of foreign literals to add back at the requester, and the copy
-    is discarded afterwards.
+    the foreign literals to add back at the requester, those the copy
+    holds without a choice, and the copy is discarded afterwards.
 
     When the joint expansion closes every branch and the package has
     several items, items are retried individually so the requester can
@@ -306,13 +306,19 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
         return tuple((INCONCLUSIVE, None) for _ in items)
     if result is Outcome.UNSATISFIABLE:
         return None
+    # a literal added after the first open branch point may rest on a
+    # choice, which the requester would take as a fact: keep it back
+    first = copy.branch_stack[0].snapshot if copy.branch_stack else None
     outcomes = []
     for item, node_id in zip(items, placed):
         if node_id not in copy.nodes:
             outcomes.append((ADDITIONS, ()))
             continue
-        outcomes.append((ADDITIONS,
-                         response_literals(copy, node_id, item.fragment)))
+        literals = response_literals(copy, node_id, item.fragment)
+        if first is not None:
+            chosen = copy.added_since(node_id, first)
+            literals = tuple(c for c in literals if c not in chosen)
+        outcomes.append((ADDITIONS, literals))
     return tuple(outcomes)
 
 

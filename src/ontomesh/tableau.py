@@ -2,10 +2,16 @@
 
 The graph holds this unit's nodes and edges, expands them with the usual
 rules (conjunction, disjunction, value and number restrictions, the
-internalization rule, transitivity chains), detects clashes, blocks, and
+internalization rule, forall-plus), detects clashes, blocks, and
 backtracks chronologically through recorded branch points.  Cross-peer
 work is emitted as projection obligations: the caller decides how they are
 shipped and feeds the outcomes back in.
+
+Transitivity is the forall-plus rule of SHIQ (Horrocks, Sattler & Tobies,
+LPAR 1999): forall S.C at x puts forall R.C on each R-neighbour of x, for
+every transitive R included in S.  For a transitive punned link, R is the
+link's role side, and the value rule then carries C across the link edge.
+No edge is added for a chain, so the graph stays a tree plus the ABox.
 
 Link successors are created locally in this chunk (the foreign filler goes
 into the foreign part of the new node's label) and reach the neighbor peer
@@ -25,10 +31,10 @@ per-graph counter that never goes back (clones share it); any change that a
 rule or clash check at the node can see (its own label, edges, distinct
 set or correspondences, or those of a neighbor) gives it a fresh one, and
 the trail puts old versions back, so a (node, version) pair always names
-one state of the node's one-hop neighbourhood.  The engine remembers the
-(node, version, blocked kind) keys at which a rule phase or a clash check
-found nothing and skips them, which keeps the firing order of a full
-rescan.
+one state of the node's one-hop neighbourhood, which is all that any rule
+reads.  The engine remembers the (node, version, blocked kind) keys at
+which a rule phase or a clash check found nothing and skips them, which
+keeps the firing order of a full rescan.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ INCONCLUSIVE = "inconclusive"
 SKIPPED = "skipped"
 
 MAX_BRANCHES = 100_000  # branch alternatives one graph may take
+MAX_NODES = 4000  # nodes one graph may hold
 
 
 @dataclass
@@ -182,10 +189,9 @@ def _put(d: dict, item: tuple) -> None:
 
 
 class CompletionGraph:
-    def __init__(self, kb: DistributedKB, unit: UnitId, max_nodes: int = 4000):
+    def __init__(self, kb: DistributedKB, unit: UnitId):
         self.kb = kb
         self.unit = unit
-        self.max_nodes = max_nodes
         self.nodes: dict[NodeId, Node] = {}
         self.out_e: dict[NodeId, dict[NodeId, set[Property]]] = {}
         self.in_e: dict[NodeId, dict[NodeId, set[Property]]] = {}
@@ -199,19 +205,17 @@ class CompletionGraph:
         self._rev = 0
         self._block_cache: dict[NodeId, tuple[int, Blocked]] = {}
         self._trail: list[tuple] = []
-        # node and edge versions; see the module docstring
+        # node versions; see the module docstring
         self._clock = itertools.count(1)
-        self.edge_ver = 0
         # per _find_action phase after the ce rule, the keys at which its
-        # rules found nothing: (node, ver, blocked kind), and edge versions
-        # for the trans phase
-        self._rule_memo = (set(), set(), set(), set())
+        # rules found nothing: (node, ver, blocked kind)
+        self._rule_memo = (set(), set(), set())
 
     # -- construction and mutation -------------------------------------------
 
     def new_node(self, origin: tuple, parent: NodeId | None = None) -> Node:
-        if len(self.nodes) >= self.max_nodes:
-            raise BudgetExceeded(f"more than {self.max_nodes} nodes")
+        if len(self.nodes) >= MAX_NODES:
+            raise BudgetExceeded(f"more than {MAX_NODES} nodes")
         x = self.next_id
         node = Node(x, self.unit, origin, parent)
         node.ver = next(self._clock)
@@ -257,9 +261,8 @@ class CompletionGraph:
         trail.append((set.discard, labels, prop))
         self._rev += 1
         na, nb = self.nodes[a], self.nodes[b]
-        trail += ((None, "edge_ver", self.edge_ver), (_set_ver, na, na.ver),
-                  (_set_ver, nb, nb.ver))
-        self.edge_ver = na.ver = nb.ver = next(self._clock)
+        trail += ((_set_ver, na, na.ver), (_set_ver, nb, nb.ver))
+        na.ver = nb.ver = next(self._clock)
         return True
 
     def set_distinct(self, a: NodeId, b: NodeId):
@@ -317,10 +320,9 @@ class CompletionGraph:
         node.origin = origin
 
     def _bump_all(self) -> None:
-        """One fresh version for every node and for the edges."""
+        """One fresh version for every node."""
         trail = self._trail
-        trail.append((None, "edge_ver", self.edge_ver))
-        v = self.edge_ver = next(self._clock)
+        v = next(self._clock)
         for n in self.nodes.values():
             trail.append((_set_ver, n, n.ver))
             n.ver = v
@@ -343,12 +345,19 @@ class CompletionGraph:
         self._rev += 1
         self._block_cache.clear()
 
+    def added_since(self, node: NodeId, mark: int) -> set[Concept]:
+        """Members of the node's label added after snapshot() returned
+        mark; members from before the mark or the clone are not."""
+        label = self.nodes[node].label
+        return {c for fn, a, c in self._trail[mark:]
+                if a is label and fn is set.discard}
+
     def clone(self) -> "CompletionGraph":
         """An independent copy with an empty trail; only a graph without
         open branch points can be cloned."""
         if self.branch_stack:
             raise ValueError("cannot clone a graph with open branch points")
-        g = CompletionGraph(self.kb, self.unit, self.max_nodes)
+        g = CompletionGraph(self.kb, self.unit)
         g.nodes = {i: n.clone() for i, n in self.nodes.items()}
         g.out_e = {i: {j: set(s) for j, s in d.items()}
                    for i, d in self.out_e.items()}
@@ -356,7 +365,6 @@ class CompletionGraph:
                   for i, d in self.in_e.items()}
         g.next_id = self.next_id
         g._clock = self._clock
-        g.edge_ver = self.edge_ver
         g.branch_count = self.branch_count
         return g
 
@@ -510,8 +518,8 @@ class CompletionGraph:
 # initialization
 # ---------------------------------------------------------------------------
 
-def init_graph(kb: DistributedKB, unit: UnitId, goal: Concept | None = None,
-               max_nodes: int = 4000) -> CompletionGraph:
+def init_graph(kb: DistributedKB, unit: UnitId,
+               goal: Concept | None = None) -> CompletionGraph:
     """Root node plus the unit's ABox skeleton.
 
     The goal concept, if any, labels the root.  Link assertions produce a
@@ -520,7 +528,7 @@ def init_graph(kb: DistributedKB, unit: UnitId, goal: Concept | None = None,
     node."""
     if goal is not None and goal.home != unit:
         raise ValueError(f"goal lives in {goal.home}, graph belongs to {unit}")
-    g = CompletionGraph(kb, unit, max_nodes)
+    g = CompletionGraph(kb, unit)
     root = g.new_node(("root",))
     if goal is not None:
         g.add_label(root.id, nnf(goal))
@@ -584,51 +592,17 @@ def _or_rule(g: CompletionGraph, x: NodeId):
 
 
 def _forall_rule(g: CompletionGraph, x: NodeId):
+    """The value rule, then the forall-plus rule, per value restriction."""
     for c in g.nodes[x].sorted_label():
         if isinstance(c, ForAll):
             for y in g.forall_targets(x, c.prop):
                 if c.filler not in g.nodes[y].label:
                     return ("add", y, c.filler)
-    return None
-
-
-def _trans_rule(g: CompletionGraph):
-    """Chains over a transitive property collapse into a direct edge; a
-    punned transitive name also collapses role chains ending in one link
-    step into a direct link edge."""
-    for t in sorted(g.kb.transitive_properties(), key=by_key):
-        if t.is_role:
-            step = {x: g.successors(x, t) for x in g.nodes}
-        else:
-            role_side = Property(t.name, t.home, t.home)
-            step = {x: g.successors(x, role_side) for x in g.nodes}
-        for x in sorted(g.nodes):
-            reach = set()
-            frontier = [(x, 0)]
-            seen = {x}
-            while frontier:
-                cur, depth = frontier.pop()
-                for y in step.get(cur, ()):
-                    if t.is_role:
-                        if depth + 1 >= 2 and y not in reach:
-                            reach.add(y)
-                        if y not in seen:
-                            seen.add(y)
-                            frontier.append((y, depth + 1))
-                    else:
-                        # role chain so far; the final step is a link hop
-                        for z in g.successors(y, t):
-                            if depth + 1 >= 1:
-                                reach.add(z)
-                        if y not in seen:
-                            seen.add(y)
-                            frontier.append((y, depth + 1))
-            if not t.is_role:
-                # direct link successors need no new edge
-                reach -= set(g.successors(x, t))
-            for y in sorted(reach):
-                if t not in g.out_e.get(x, {}).get(y, set()):
-                    return ("edge", x, y, t)
+            for r in g.kb.transitive_subroles(c.prop):
+                d = ForAll(r, c.filler)
+                for y in g.successors(x, r):
+                    if d not in g.nodes[y].label:
+                        return ("add", y, d)
     return None
 
 
@@ -774,16 +748,9 @@ def _find_action(g: CompletionGraph):
         if not b and apply_ce_could(g, x):  # one set lookup: no memo needed
             return ("ce", x)
         keyed.append((x, b, (x, nodes[x].ver, b.kind)))
-    local, trans, generate, branch = g._rule_memo
-    act = _scan(g, keyed, local, _local_phase)
-    if act:
-        return act
-    if g.edge_ver not in trans:
-        act = _trans_rule(g)
-        if act:
-            return act
-        trans.add(g.edge_ver)
-    return (_scan(g, keyed, generate, _generate_phase)
+    local, generate, branch = g._rule_memo
+    return (_scan(g, keyed, local, _local_phase)
+            or _scan(g, keyed, generate, _generate_phase)
             or _scan(g, keyed, branch, _branch_phase))
 
 
@@ -800,8 +767,6 @@ def _apply_action(g: CompletionGraph, action) -> None:
     elif kind == "add_many":
         for c in action[2]:
             g.add_label(action[1], c)
-    elif kind == "edge":
-        g.add_edge(action[1], action[2], action[3])
     elif kind == "generate":
         _, x, prop, fillers, distinct = action
         created = []
@@ -1018,7 +983,12 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
             if isinstance(c, ForAll) and blocked.kind != "indirect":
                 for y in g.forall_targets(x, c.prop):
                     if c.filler not in g.nodes[y].label:
-                        complain("4/6", f"node {x}: {c.key()} missed node {y}")
+                        complain("4", f"node {x}: {c.key()} missed node {y}")
+                for r in kb.transitive_subroles(c.prop):
+                    d = ForAll(r, c.filler)
+                    for y in g.successors(x, r):
+                        if d not in g.nodes[y].label:
+                            complain("6", f"node {x}: {d.key()} missed node {y}")
             if isinstance(c, Exists) and not blocked:
                 if not any(c.filler in g.nodes[y].label
                            for y in g.successors(x, c.prop)):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every private function, class and method is used somewhere in it.
 
 No linter ships with the test toolchain, so this walks the syntax tree
 with the standard library instead.
@@ -35,3 +36,42 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """The _-prefixed module-level functions and classes, and methods, that
+    no module of sources mentions by name or attribute.  Dunder names are
+    left out: Python calls them."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    mentioned = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+    defined = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for d in [stmt, *members]:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((name, d.lineno, d.name))
+    return [f"{name} line {line}: {d}" for name, line, d in defined
+            if d.startswith("_") and not d.endswith("__")
+            and d not in mentioned]
+
+
+def test_checker_flags_an_orphaned_private_name():
+    src = ("def _used():\n    pass\n\n"
+           "def _orphan():\n    _used()\n\n"
+           "class _Box:\n    def __init__(self):\n        self._fill()\n"
+           "    def _fill(self):\n        pass\n    def _spill(self):\n"
+           "        pass\n")
+    assert orphaned_private_names({"m.py": src, "n.py": "_Box()\n"}) == [
+        "m.py line 4: _orphan", "m.py line 12: _spill"]
+
+
+def test_no_orphaned_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_names(sources) == []

@@ -172,8 +172,12 @@ _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
       "link_assertions": [{"from": "u1:y", "to": "u2:x"}]}, "link assertion"),
     ({"mappings": [{"source_unit": "u2", "bridge_rules": [
         "onto u2:A u1:B"]}]}, "bridge rule 'onto u2:A u1:B'"),
+    ({"mappings": 5}, "mappings 5 is not a list"),
+    ({"links": [{"name": "r", "target_unit": "u2", "parents": 5}]},
+     "parents 5 is not a list"),
 ], ids=["rule-without-source", "correspondence-without-foreign",
-        "assertion-without-link", "rule-as-string"])
+        "assertion-without-link", "rule-as-string", "mappings-not-a-list",
+        "parents-not-a-list"])
 def test_malformed_coupling_entry_fails_to_load(coupling, named):
     with pytest.raises(LoadError, match=named):
         load_kb(_TWO_UNITS, [{"unit": "u1", **coupling}])

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from ontomesh import peer, tableau
 from ontomesh.io import load_kb, parse_concept
 from ontomesh.model import Atom
 from ontomesh.oracle import oracle_satisfiable
@@ -338,9 +339,10 @@ def test_triggered_attribution_goes_to_initiator():
 
 # -- budget ----------------------------------------------------------------------
 
-def test_budget_exhaustion_is_inconclusive():
+def test_budget_exhaustion_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(tableau, "MAX_NODES", 2)
     kb = load_kb(["(unit u1)\n(concept A)\n(role r)\n(sub A (some r A))"])
-    s = _session(kb, max_nodes=2)
+    s = _session(kb)
     with pytest.raises(InconclusiveError):
         s.is_satisfiable(parse_concept("A", "u1"))
 
@@ -371,10 +373,9 @@ def test_reverse_cycle_satisfiable_without_reverse_updates():
     assert _session(kb, reverse_updates=False).is_satisfiable(goal)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "unsound UNSAT: the u2 serve picks not u1:A in the into rule's "
-    "disjunction and the reverse update ships that choice back as a fact"))
 def test_reverse_cycle_satisfiable_with_reverse_updates():
+    # the u2 serve picks not u1:A in the into rule's disjunction; that
+    # choice must not flow back as a fact
     assert _session(_reverse_cycle_kb()).is_satisfiable(Atom("u1", "A"))
 
 
@@ -404,11 +405,13 @@ def test_reentrant_serve_answers_provisionally(use_cache):
                for e in s.log)
 
 
-def test_reentrant_serve_respects_depth_limit():
+def test_reentrant_serve_respects_depth_limit(monkeypatch):
     goal = Atom("u1", "A")
+    monkeypatch.setattr(peer, "SERVE_DEPTH_LIMIT", 1)
     with pytest.raises(InconclusiveError):
-        _session(_reentrant_kb(), serve_depth_limit=1).is_satisfiable(goal)
-    assert _session(_reentrant_kb(), serve_depth_limit=2).is_satisfiable(goal)
+        _session(_reentrant_kb()).is_satisfiable(goal)
+    monkeypatch.setattr(peer, "SERVE_DEPTH_LIMIT", 2)
+    assert _session(_reentrant_kb()).is_satisfiable(goal)
 
 
 # -- session lifetime ------------------------------------------------------------
