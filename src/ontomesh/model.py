@@ -6,7 +6,8 @@ bridge rules), through cross-unit link relations, and through individual
 correspondences.  All of that, plus the usual TBox/RBox/ABox content, lives
 here as immutable data, together with the derived machinery the reasoner
 needs: negation normal form, sub-expression closures, per-unit
-internalization concepts and the property hierarchy.
+internalization concepts with their absorbed GCIs, and the property
+hierarchy.
 """
 
 from __future__ import annotations
@@ -516,9 +517,10 @@ class Violation:
 class DistributedKB:
     """All units plus all couplings, with derived lookup tables.
 
-    Immutable after construction, apart from the internalizations and the
-    forall-plus role lists, which are built on first use; threads that
-    race build the same interned value.  Share freely between threads.
+    Immutable after construction, apart from the internalizations with
+    their absorbed GCIs and the forall-plus role lists, which are built on
+    first use; threads that race build the same interned value.  Share
+    freely between threads.
     """
 
     units: dict[UnitId, UnitKB]
@@ -532,6 +534,8 @@ class DistributedKB:
         default_factory=dict, compare=False)
     _internalizations: dict[UnitId, Concept] = field(default_factory=dict,
                                                      compare=False)
+    _absorbed: dict[UnitId, dict[Atom, tuple[Concept, ...]]] = field(
+        default_factory=dict, compare=False)
 
     @classmethod
     def build(cls, units: dict[UnitId, UnitKB],
@@ -685,33 +689,56 @@ class DistributedKB:
         return None
 
     def internalization(self, unit: UnitId) -> Concept:
-        """The single conjunction encoding a unit's TBox and bridge rules.
+        """The single conjunction encoding what absorption leaves of a
+        unit's TBox, plus its bridge rules.
 
-        Every GCI C subsumed-by D contributes (not C) or D.  An onto rule
-        with foreign source F and local target E contributes (not E) or F:
-        an E instance must have a correspondent in F.  An into rule with
-        foreign source H and local target G contributes (not H) or G: a
-        node whose correspondent falls in H must itself be in G.
+        A GCI whose left side is an atom A of the unit is absorbed: it goes
+        to absorbed(unit), and the tableau adds its right side wherever A
+        is (lazy unfolding).  Every other GCI C subsumed-by D contributes
+        (not C) or D.  Bridge rules all stay.  An onto rule with foreign
+        source F and local target E contributes (not E) or F: an E instance
+        must have a correspondent in F.  An into rule with foreign source H
+        and local target G contributes (not H) or G: a node whose
+        correspondent falls in H must itself be in G.
 
-        Built on the first call for each unit and kept.
+        Built on the first call for each unit, together with absorbed(unit),
+        and kept.
         """
         try:
             return self._internalizations[unit]
         except KeyError:
-            ck = self._internalizations[unit] = self._internalize(unit)
+            ck, self._absorbed[unit] = self._internalize(unit)
+            self._internalizations[unit] = ck
             return ck
 
-    def _internalize(self, unit: UnitId) -> Concept:
+    def absorbed(self, unit: UnitId) -> dict[Atom, tuple[Concept, ...]]:
+        """The unit's absorbed GCIs: each atom A of the unit that is the
+        left side of a GCI, mapped to the NNF right sides of its GCIs.
+        Atoms and right sides are in key order."""
+        try:
+            return self._absorbed[unit]
+        except KeyError:
+            self.internalization(unit)
+            return self._absorbed[unit]
+
+    def _internalize(self, unit: UnitId) -> tuple[
+            Concept, dict[Atom, tuple[Concept, ...]]]:
         disjunctions = []
-        ukb = self.units[unit]
-        for lhs, rhs in ukb.gcis:
-            disjunctions.append(make_or([neg(lhs), nnf(rhs)], unit))
+        absorbed: dict[Atom, set[Concept]] = {}
+        for lhs, rhs in self.units[unit].gcis:
+            lhs = nnf(lhs)
+            if isinstance(lhs, Atom) and lhs.unit == unit:
+                absorbed.setdefault(lhs, set()).add(nnf(rhs))
+            else:
+                disjunctions.append(make_or([neg(lhs), nnf(rhs)], unit))
         for br in self.couplings[unit].bridge_rules:
             if br.kind == ONTO:
                 disjunctions.append(make_or([neg(br.target), br.source], unit))
             else:
                 disjunctions.append(make_or([neg(br.source), br.target], unit))
-        return make_and(disjunctions, unit)
+        return make_and(disjunctions, unit), {
+            a: tuple(sorted(absorbed[a], key=by_key))
+            for a in sorted(absorbed, key=by_key)}
 
     def tbox_concept(self, unit: UnitId) -> Concept:
         """The internalized TBox alone, without bridge disjunctions."""
@@ -732,11 +759,15 @@ class DistributedKB:
 
     def label_universe(self, goal: Concept | None = None) -> set[Concept]:
         """Closure extended with internalization conjunctions (bridges
-        included) and the NNF complements of every member.  Used by the
-        audit and the termination bound."""
+        included), absorbed GCIs and the NNF complements of every member.
+        Used by the audit and the termination bound."""
         out: set[Concept] = set()
         for u in self.unit_order:
             out |= subconcepts(self.internalization(u))
+            for a, rhs in self.absorbed(u).items():
+                out.add(a)
+                for c in rhs:
+                    out |= subconcepts(c)
         if goal is not None:
             out |= subconcepts(nnf(goal))
         # forall R.C of the forall-plus rule, and what it adds in turn at

@@ -1,11 +1,21 @@
 """One peer's chunk of the distributed completion graph.
 
-The graph holds this unit's nodes and edges, expands them with the usual
-rules (conjunction, disjunction, value and number restrictions, the
-internalization rule, forall-plus), detects clashes, blocks, and
-backtracks chronologically through recorded branch points.  Cross-peer
-work is emitted as projection obligations: the caller decides how they are
-shipped and feeds the outcomes back in.
+The graph holds this unit's nodes and edges, expands them with rules,
+detects clashes, blocks, and backtracks chronologically through recorded
+branch points.  Cross-peer work is emitted as projection obligations: the
+caller decides how they are shipped and feeds the outcomes back in.
+
+The rules, in the order a step looks for them:
+- ce: the unit's internalization joins every unblocked node's label;
+- local: and, unfold, then the value rule and forall-plus;
+- generate: exists and at-least create successors;
+- branch: or, choose, and at-most merges, each a branch point.
+
+Unfold is lazy unfolding (Baader et al. 1994; Horrocks & Tobies, KR 2000):
+a GCI A subsumed-by C with an atom A of the unit is absorbed, not
+internalized, and an atom A in an unblocked node's label adds every such C
+the label lacks, in one step.  The other GCIs and every bridge rule stay
+disjunctions of the internalization.
 
 Transitivity is the forall-plus rule of SHIQ (Horrocks, Sattler & Tobies,
 LPAR 1999): forall S.C at x puts forall R.C on each R-neighbour of x, for
@@ -465,8 +475,8 @@ class CompletionGraph:
         for c in label:
             if isinstance(c, Bottom):
                 return ClashInfo(x, "bottom in label")
-            if isinstance(c, Atom) and Not(c) in label:
-                return ClashInfo(x, f"{c.key()} and its negation")
+            if isinstance(c, Not) and c.operand in label:
+                return ClashInfo(x, f"{c.operand.key()} and its negation")
         if self.clash_oracle is not None and not self.blocked(x):
             reason = self.clash_oracle(self, x)
             if reason:
@@ -573,6 +583,17 @@ def _and_rule(g: CompletionGraph, x: NodeId):
     for c in g.nodes[x].sorted_label():
         if isinstance(c, And) and not {c.left, c.right} <= g.nodes[x].label:
             return ("add_many", x, [c.left, c.right])
+    return None
+
+
+def _unfold_rule(g: CompletionGraph, x: NodeId):
+    """Lazy unfolding of the GCIs absorbed into the label's atoms."""
+    label = g.nodes[x].label
+    for a, rhs in g.kb.absorbed(g.unit).items():
+        if a in label:
+            missing = [c for c in rhs if c not in label]
+            if missing:
+                return ("add_many", x, missing)
     return None
 
 
@@ -709,7 +730,7 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
 # ---------------------------------------------------------------------------
 
 def _local_phase(g: CompletionGraph, x: NodeId, b: Blocked):
-    act = None if b else _and_rule(g, x)
+    act = None if b else _and_rule(g, x) or _unfold_rule(g, x)
     if not act and b.kind != "indirect":
         act = _forall_rule(g, x)
     return act
@@ -956,10 +977,12 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
 
     The cross-peer sharing property is checked against the projection
     bookkeeping: every node with a foreign fragment must have flushed
-    exactly its current fragment."""
+    exactly its current fragment.  Property 12 is lazy unfolding: an
+    unblocked node holding an atom holds the right sides absorbed into it."""
     kb = g.kb
     problems: list[str] = []
     universe = kb.label_universe(goal)
+    absorbed = kb.absorbed(g.unit)
 
     def complain(prop: str, msg: str):
         problems.append(f"property {prop}: {msg}")
@@ -980,6 +1003,11 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
             if isinstance(c, Or) and not blocked:
                 if not {c.left, c.right} & label:
                     complain("3", f"node {x}: unexpanded disjunction {c.key()}")
+            if c in absorbed and not blocked:
+                for d in absorbed[c]:
+                    if d not in label:
+                        complain("12", f"node {x}: {c.key()} not unfolded "
+                                 f"into {d.key()}")
             if isinstance(c, ForAll) and blocked.kind != "indirect":
                 for y in g.forall_targets(x, c.prop):
                     if c.filler not in g.nodes[y].label:

@@ -287,15 +287,15 @@ def test_cache_on_prunes_the_next_task_with_earlier_clashes(monkeypatch):
     cache = s.peers["u1"].cache
     assert cache._clashes
     events = _watch_clashes(monkeypatch)
-    assert not s.is_subsumed(Atom("u1", "MedicalArticle"),
-                             Atom("u1", "MedicalConference"))
+    assert s.is_subsumed(Atom("u3", "PediatricConference"),
+                         Atom("u3", "HumanActivity"))
     # the same cache, and it prunes before this task records any clash
     assert s.peers["u1"].cache is cache
     assert events[0] == "hit"
 
 
 def test_cache_off_starts_each_task_with_a_new_empty_cache(monkeypatch):
-    s = _session(conference_square_kb(), use_cache=False)
+    s = _session(articles_linked_kb(), use_cache=False)
     begin = LoopbackSession._begin_task
     at_start = []   # (cache, empty) per peer at each task start
 
@@ -307,9 +307,9 @@ def test_cache_off_starts_each_task_with_a_new_empty_cache(monkeypatch):
     monkeypatch.setattr(LoopbackSession, "_begin_task", watched_begin)
     events = _watch_clashes(monkeypatch)
     at_end = []
-    for sup in ("Article", "MedicalConference"):
+    for sub in ("CSArticle", "MathArticle"):
         events.clear()
-        s.is_subsumed(Atom("u1", "MedicalArticle"), Atom("u1", sup))
+        s.is_subsumed(Atom("u1", sub), Atom("u1", "Article"))
         # nothing carried over: this task's first clash is its own
         assert events[0] == "record"
         at_end.append(s.peers["u1"].cache)

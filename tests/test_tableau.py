@@ -206,6 +206,44 @@ def test_transitivity_agrees_with_oracle(kb_name, text, checked_steps):
     assert sat or not model
 
 
+_ABSORPTION_KBS = {
+    "cyclic": (["(unit u1)\n(concept A)\n(concept B)\n(role r)\n"
+                "(sub A (some r A))"], ()),
+    "equiv": (["(unit u1)\n(concept A)\n(concept B)\n(concept C)\n"
+               "(equiv A B)\n(sub B C)"], ()),
+    "foreign": (["(unit u1)\n(concept A)\n(sub A (some e u2:X))",
+                 "(unit u2)\n(concept X)\n(concept Y)\n(sub X Y)"],
+                [{"unit": "u1", "links": [{"name": "e", "target_unit": "u2"}]}]),
+}
+
+
+@pytest.mark.parametrize("kb_name,text,expected", [
+    ("cyclic", "A", True),
+    ("cyclic", "(and A (all r (not A)))", False),
+    ("cyclic", "(and A (all r (all r B)) (some r (not B)))", True),
+    ("equiv", "(and A (not B))", False),
+    ("equiv", "(and B (not A))", False),
+    ("equiv", "(and A (not C))", False),
+    ("equiv", "(and C (not A))", True),
+    ("foreign", "(and A (all e (not u2:Y)))", False),
+    ("foreign", "(and A (all e (not u2:X)))", False),
+    ("foreign", "(and A (all e u2:Y))", True),
+])
+def test_absorbed_gcis_agree_with_oracle(kb_name, text, expected,
+                                         checked_steps):
+    """Lazy unfolding of absorbed GCIs, audited and with every memoized
+    step checked against a full rescan: a cyclic GCI that needs blocking,
+    an equivalence between atoms, and an absorbed right side whose filler
+    lives in another unit.  The oracle at bound 2 settles each goal."""
+    units, couplings = _ABSORPTION_KBS[kb_name]
+    kb = _kb(*units, couplings=couplings)
+    assert kb.absorbed("u1")
+    goal = parse_concept(text, "u1")
+    sat = LoopbackSession(kb, PeerConfig(audit=True)).is_satisfiable(goal)
+    assert sat is expected
+    assert oracle_satisfiable(kb, goal, domain_bound=2) is expected
+
+
 def test_blocking_terminates_cyclic_gci():
     kb = _kb("(unit u1)\n(concept A)\n(role r)\n(sub A (some r A))")
     ok, g = _local_sat(kb, "u1", "A")
@@ -355,6 +393,17 @@ def test_audit_flags_missing_forall_plus():
     g.nodes[y].label.discard(forall_plus)
     assert audit_complete_graph(g, goal) == [
         f"property 6: node 0: {forall_plus.key()} missed node {y}"]
+
+
+def test_audit_flags_missing_unfolding():
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(sub A B)")
+    goal = parse_concept("A", "u1")
+    g = init_graph(kb, "u1", goal)
+    assert expand_to_completion(g) is Outcome.COMPLETE
+    assert audit_complete_graph(g, goal) == []
+    g.nodes[0].label.discard(Atom("u1", "B"))
+    assert audit_complete_graph(g, goal) == [
+        "property 12: node 0: u1:A not unfolded into u1:B"]
 
 
 # -- determinism -----------------------------------------------------------------
