@@ -131,7 +131,6 @@ def _qname(tok: _Tok, current: str) -> tuple[str, str]:
 class _UnitParser:
     def __init__(self):
         self.kb: UnitKB | None = None
-        self.pending: list = []
 
     def parse(self, text: str) -> UnitKB:
         forms = []

@@ -527,7 +527,6 @@ class DistributedKB:
     couplings: dict[UnitId, Coupling]
     unit_order: list[UnitId] = field(default_factory=list)
     # derived
-    _neighbors: dict[UnitId, set[UnitId]] = field(default_factory=dict)
     _subsumers: dict[Property, frozenset[Property]] = field(default_factory=dict)
     _transitive: set[Property] = field(default_factory=set)
     _trans_subroles: dict[Property, tuple[Property, ...]] = field(
@@ -549,24 +548,6 @@ class DistributedKB:
         return kb
 
     def _index(self, units, couplings):
-        self._neighbors = {u: set() for u in units}
-        for u, coup in couplings.items():
-            touched = set()
-            for br in coup.bridge_rules:
-                touched.add(br.source.unit)
-            for ld in coup.links:
-                touched.add(ld.target_unit)
-            for ic in coup.individual_correspondences:
-                touched.add(ic.foreign_unit)
-            for la in coup.link_assertions:
-                touched.add(la.target_unit)
-            touched.discard(u)
-            for v in touched:
-                if u in self._neighbors:
-                    self._neighbors[u].add(v)
-                if v in self._neighbors:
-                    self._neighbors[v].add(u)
-
         # property hierarchy: reflexive-transitive closure per (home, target)
         # pair, with role inclusions mirrored onto inverses
         direct: dict[Property, set[Property]] = {}
@@ -615,11 +596,6 @@ class DistributedKB:
                     self._transitive.add(Property(ld.name, u, u))
 
     # -- queries ------------------------------------------------------------
-
-    def neighbors(self, unit: UnitId) -> set[UnitId]:
-        """Units this unit exchanges reasoning messages with: any coupling
-        in either direction connects the two peers."""
-        return set(self._neighbors[unit])
 
     def subsumers(self, p: Property) -> frozenset[Property]:
         """All Q with p included in Q under the reflexive-transitive closure
@@ -740,27 +716,12 @@ class DistributedKB:
             a: tuple(sorted(absorbed[a], key=by_key))
             for a in sorted(absorbed, key=by_key)}
 
-    def tbox_concept(self, unit: UnitId) -> Concept:
-        """The internalized TBox alone, without bridge disjunctions."""
-        ukb = self.units[unit]
-        return make_and([make_or([neg(l), nnf(r)], unit) for l, r in ukb.gcis],
-                        unit)
-
-    def closure(self, c: Concept, unit: UnitId) -> set[Concept]:
-        """All sub-expressions of c and of every unit's internalized TBox,
-        in NNF.  This bounds what a node label may contain, up to the
-        internalization conjunctions themselves."""
-        c = nnf(c)
-        out = subconcepts(c)
-        for u in self.unit_order:
-            if self.units[u].gcis:
-                out |= subconcepts(self.tbox_concept(u))
-        return out
-
     def label_universe(self, goal: Concept | None = None) -> set[Concept]:
-        """Closure extended with internalization conjunctions (bridges
-        included), absorbed GCIs and the NNF complements of every member.
-        Used by the audit and the termination bound."""
+        """What a node label may hold: every sub-expression of the goal, of
+        each unit's internalization (bridges included) and of its absorbed
+        GCIs, the value restrictions the forall-plus rule adds, and the NNF
+        complements of every member.  Used by the audit and the
+        termination bound."""
         out: set[Concept] = set()
         for u in self.unit_order:
             out |= subconcepts(self.internalization(u))

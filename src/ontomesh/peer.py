@@ -31,7 +31,6 @@ from .protocol import (
 from .tableau import (
     ADDITIONS,
     CLASH,
-    INCONCLUSIVE,
     SKIPPED,
     BudgetExceeded,
     Obligation,
@@ -41,11 +40,8 @@ from .tableau import (
     init_graph,
 )
 
-LOADING = "loading"
-INITIALIZING = "initializing"
 READY = "ready"
 HOLED = "holed"
-FAILED = "failed"
 
 SERVE_DEPTH_LIMIT = 64  # nested serves one peer may have open
 
@@ -98,10 +94,9 @@ class Peer:
         self.kb_full = kb
         self.unit = unit
         self.config = config or PeerConfig()
-        self.phase = LOADING
+        self.phase: str | None = None        # READY or HOLED once initialized
         self.holes: set[str] = set()
-        self.kb: DistributedKB = kb          # hole-adjusted view
-        self.skeleton = None                 # frozen post-initialization
+        self.skeleton = None                 # hole-adjusted, frozen at init
         self.metrics = Metrics()
         self.cache = ProjectionCache()
         self.router = None                   # injected by the session
@@ -118,20 +113,17 @@ class Peer:
 
     def initialize(self) -> str:
         """Isolated consistency check: every other unit is read as a hole.
-        Returns the resulting phase."""
-        self.phase = INITIALIZING
+        Returns the resulting phase, READY or HOLED; raises
+        InconclusiveError when the check runs out of budget."""
         others = set(self.kb_full.unit_order) - {self.unit}
         isolated = handle_hole(self.kb_full, others)
         graph = init_graph(isolated, self.unit)
         try:
             outcome = expand_to_completion(graph)
-        except BudgetExceeded:
-            self.phase = FAILED
-            return self.phase
-        if outcome is Outcome.UNSATISFIABLE:
-            self.phase = HOLED
-        else:
-            self.phase = READY
+        except BudgetExceeded as e:
+            raise InconclusiveError(
+                f"peer {self.unit} failed to initialize: {e}") from e
+        self.phase = HOLED if outcome is Outcome.UNSATISFIABLE else READY
         return self.phase
 
     def adopt_holes(self, holed: set[str]):
@@ -139,65 +131,48 @@ class Peer:
         if self.phase != READY:
             return
         self.holes = set(holed)
-        self.kb = handle_hole(self.kb_full, self.holes)
-        self.skeleton = init_graph(self.kb, self.unit)
+        self.skeleton = init_graph(handle_hole(self.kb_full, self.holes),
+                                   self.unit)
 
     # -- outbound projections ----------------------------------------------------
 
     def projection_hook(self, origin: str):
         """The hook a graph expansion uses to flush its obligations.  It
         packages them per neighbor, consults the cache, ships what is left
-        through the router and realigns the outcomes per obligation.  After
-        a clash for some node, that node's remaining packages are never
-        sent: the branch is closing anyway, so their answers could not
-        change it."""
+        through the router and hands each item's outcome to its obligation,
+        the only one for the item's (destination, node).  Obligations
+        toward holed peers get no additions.  After a clash for some node,
+        that node's remaining packages are never sent: the branch is
+        closing anyway, so their answers could not change it.  A budget
+        that runs out in a serve raises through the hook."""
 
         def hook(obligations: list[Obligation]):
-            packages, slots = self._package(obligations, origin)
-            results: dict[int, tuple] = {}
+            index = {(ob.dest_unit, ob.node): i
+                     for i, ob in enumerate(obligations)}
+            results = [(ADDITIONS, ())] * len(obligations)
             clashed_nodes: set[int] = set()
-            for p_idx, pkg in enumerate(packages):
-                members = [i for i, slot in enumerate(slots)
-                           if slot is not None and slot[0] == p_idx]
-                if any(obligations[i].node in clashed_nodes for i in members):
+            for pkg in build_packages(obligations, self.unit, origin,
+                                      self._pkg_counter, self.holes):
+                members = [index[pkg.to, item.source_node]
+                           for item in pkg.items]
+                if any(item.source_node in clashed_nodes
+                       for item in pkg.items):
                     for i in members:
                         results[i] = (SKIPPED, None)
                     self.router.notify_skip(self.unit, pkg)
                     continue
-                outcomes = self._send_package(pkg)
-                for i in members:
-                    verdict, payload = outcomes[slots[i][1]]
-                    if verdict == INCONCLUSIVE:
-                        raise InconclusiveError(
-                            f"projection to {pkg.to} was inconclusive")
-                    results[i] = (verdict, payload)
+                for i, outcome in zip(members, self._send_package(pkg)):
+                    results[i] = outcome
+                    verdict, payload = outcome
                     if verdict == CLASH:
                         ob = obligations[i]
                         clashed_nodes.add(ob.node)
                         if payload != JOINT:
                             self.cache.record_clash(ob.dest_unit, ob.fragment,
                                                     ob.target_individual)
-            out = []
-            for i, ob in enumerate(obligations):
-                if i in results:
-                    out.append(results[i])
-                else:  # dropped, destination holed
-                    out.append((ADDITIONS, ()))
-            return out
+            return results
 
         return hook
-
-    def _package(self, obligations, origin):
-        packages = build_packages(obligations, self.unit, origin,
-                                  self._pkg_counter, self.holes)
-        where: dict[tuple, tuple[int, int]] = {}
-        for p_idx, pkg in enumerate(packages):
-            for it_idx, item in enumerate(pkg.items):
-                where.setdefault((pkg.to, item.source_node, item.fragment),
-                                 (p_idx, it_idx))
-        slots = [where.get((ob.dest_unit, ob.node, ob.fragment))
-                 for ob in obligations]
-        return packages, slots
 
     def _send_package(self, pkg: ProjectionPackage):
         if self.config.use_cache:
@@ -218,14 +193,16 @@ class Peer:
         """Answer one projection package.  Returns (outcomes, final):
         non-final answers are provisional snapshots given to re-entrant
         copies of a request this peer is already serving, and must not be
-        cached."""
+        cached.  Raises InconclusiveError at SERVE_DEPTH_LIMIT open serves,
+        and BudgetExceeded when the serve's copy runs out."""
         if self.phase != READY:
             raise PhaseError(f"peer {self.unit} cannot serve in phase {self.phase}")
         self.metrics.packages_received += 1
         key = (pkg.frm, pkg.content_bytes())
         with self._lock:
             if self._serve_depth >= SERVE_DEPTH_LIMIT:
-                return tuple((INCONCLUSIVE, None) for _ in pkg.items), False
+                raise InconclusiveError(
+                    f"peer {self.unit} has {SERVE_DEPTH_LIMIT} serves open")
             if key in self._serving:
                 return tuple((ADDITIONS, ()) for _ in pkg.items), False
             self._serving.add(key)
@@ -233,7 +210,7 @@ class Peer:
         origin = pkg.items[0].trigger_origin or pkg.frm
         hook = self.projection_hook(origin)
         try:
-            outcomes = serve_package(pkg, self.skeleton, self.kb, hook,
+            outcomes = serve_package(pkg, self.skeleton, hook,
                                      reverse_updates=self.config.reverse_updates,
                                      clash_oracle=self.doom_oracle)
         finally:
@@ -297,12 +274,9 @@ class LoopbackSession:
         if self._initialized:
             return set(self.holes)
         for u in self.kb.unit_order:
-            phase = self.peers[u].initialize()
-            if phase == HOLED:
+            if self.peers[u].initialize() == HOLED:
                 self.holes.add(u)
                 self.peers[u].router.broadcast_hole(u)
-            elif phase == FAILED:
-                raise InconclusiveError(f"peer {u} failed to initialize")
         for u in self.kb.unit_order:
             self.peers[u].adopt_holes(self.holes)
         self._initialized = True
@@ -319,6 +293,31 @@ class LoopbackSession:
         return [self.peers[u] for u in self.kb.unit_order
                 if self.peers[u].phase == READY]
 
+    def _expand(self, peer: Peer, goal: Concept | None = None) -> Outcome:
+        """Expand a working copy of the peer's skeleton, goal at the root if
+        given, with the projection machinery live; audit a complete goal
+        graph when the config asks.  A budget that runs out here or in a
+        serve it causes raises InconclusiveError."""
+        graph = peer.skeleton.clone()
+        graph.clash_oracle = peer.doom_oracle
+        if goal is not None:
+            graph.add_label(0, goal)
+        hook = peer.projection_hook(origin=peer.unit)
+        try:
+            outcome = expand_to_completion(
+                graph, hook, reverse_updates=peer.config.reverse_updates)
+        except BudgetExceeded as e:
+            raise InconclusiveError(
+                f"task at peer {peer.unit} ran out: {e}") from e
+        peer.metrics.branch_count += graph.branch_count
+        if goal is not None and outcome is Outcome.COMPLETE \
+                and self.config.audit:
+            problems = audit_complete_graph(graph, goal)
+            if problems:
+                raise AssertionError("tableau property audit failed: "
+                                     + "; ".join(problems))
+        return outcome
+
     # -- tasks -----------------------------------------------------------------
 
     def check_consistency(self):
@@ -328,16 +327,7 @@ class LoopbackSession:
         self._begin_task()
         verdict = ("consistent", None)
         for peer in self._ready_peers():
-            graph = peer.skeleton.clone()
-            graph.clash_oracle = peer.doom_oracle
-            hook = peer.projection_hook(origin=peer.unit)
-            try:
-                outcome = expand_to_completion(
-                    graph, hook, reverse_updates=peer.config.reverse_updates)
-            except BudgetExceeded:
-                raise InconclusiveError(f"peer {peer.unit} ran out of nodes")
-            peer.metrics.branch_count += graph.branch_count
-            if outcome is Outcome.UNSATISFIABLE:
+            if self._expand(peer) is Outcome.UNSATISFIABLE:
                 verdict = ("inconsistent",
                            (peer.unit, "no clash-free completion"))
                 break
@@ -360,23 +350,7 @@ class LoopbackSession:
         if home in self.holes or home not in self.peers \
                 or self.peers[home].phase != READY:
             raise ProtocolError(f"unit {home} is not available for reasoning")
-        peer = self.peers[home]
-        graph = peer.skeleton.clone()
-        graph.clash_oracle = peer.doom_oracle
-        graph.add_label(0, goal)
-        hook = peer.projection_hook(origin=peer.unit)
-        try:
-            outcome = expand_to_completion(
-                graph, hook, reverse_updates=peer.config.reverse_updates)
-        except BudgetExceeded:
-            raise InconclusiveError("satisfiability ran out of nodes")
-        peer.metrics.branch_count += graph.branch_count
-        if outcome is Outcome.COMPLETE and self.config.audit:
-            problems = audit_complete_graph(graph, goal)
-            if problems:
-                raise AssertionError("tableau property audit failed: "
-                                     + "; ".join(problems))
-        return outcome is Outcome.COMPLETE
+        return self._expand(self.peers[home], goal) is Outcome.COMPLETE
 
     def is_subsumed(self, sub: Atom, sup: Atom, _task: bool = True) -> bool:
         if sub.unit != sup.unit:

@@ -42,8 +42,6 @@ from .model import (
 from .tableau import (
     ADDITIONS,
     CLASH,
-    INCONCLUSIVE,
-    BudgetExceeded,
     CompletionGraph,
     Obligation,
     Outcome,
@@ -238,8 +236,8 @@ def response_literals(graph: CompletionGraph, node: int,
 # ---------------------------------------------------------------------------
 
 def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
-                  kb: DistributedKB, downstream_hook=None,
-                  reverse_updates: bool = True, clash_oracle=None) -> tuple:
+                  downstream_hook=None, reverse_updates: bool = True,
+                  clash_oracle=None) -> tuple:
     """Serve one package against a fresh working copy of the local graph.
 
     Each item either updates the node of its named target individual or
@@ -247,14 +245,16 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     completion with clash_oracle as its early-clash check; downstream
     obligations leave through the hook.  Per item the outcome is a clash or
     the foreign literals to add back at the requester, those the copy
-    holds without a choice, and the copy is discarded afterwards.
+    holds without a choice, and the copy is discarded afterwards.  A copy
+    that runs out of budget raises BudgetExceeded: a serve never answers
+    an open question.
 
     When the joint expansion closes every branch and the package has
     several items, items are retried individually so the requester can
     close exactly the branches that are truly doomed; if no single item
     clashes on its own, the joint clash is reported on all of them.
     """
-    outcome = _serve_items(pkg.items, pkg.frm, skeleton, kb, downstream_hook,
+    outcome = _serve_items(pkg.items, pkg.frm, skeleton, downstream_hook,
                            reverse_updates, clash_oracle)
     if outcome is not None:
         return outcome
@@ -263,7 +263,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     singles = []
     any_clash = False
     for item in pkg.items:
-        one = _serve_items((item,), pkg.frm, skeleton, kb, downstream_hook,
+        one = _serve_items((item,), pkg.frm, skeleton, downstream_hook,
                            reverse_updates, clash_oracle)
         if one is None:
             singles.append((CLASH, None))
@@ -276,8 +276,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
 
 
 def _serve_items(items, requester: str, skeleton: CompletionGraph,
-                 kb: DistributedKB, downstream_hook, reverse_updates,
-                 clash_oracle):
+                 downstream_hook, reverse_updates, clash_oracle):
     copy = skeleton.clone()
     copy.clash_oracle = clash_oracle
     placed: list[int] = []
@@ -300,10 +299,7 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
         for c in item.fragment:
             copy.add_label(node_id, c)
         placed.append(node_id)
-    try:
-        result = expand_to_completion(copy, downstream_hook, reverse_updates)
-    except BudgetExceeded:
-        return tuple((INCONCLUSIVE, None) for _ in items)
+    result = expand_to_completion(copy, downstream_hook, reverse_updates)
     if result is Outcome.UNSATISFIABLE:
         return None
     # a literal added after the first open branch point may rest on a

@@ -86,11 +86,11 @@ class Outcome(Enum):
     UNSATISFIABLE = "unsatisfiable"
 
 
-# projection outcome verdicts, one per obligation or package item; a hook
-# turns INCONCLUSIVE into an error, and a serve never answers SKIPPED
+# projection outcome verdicts, one per obligation or package item.  A serve
+# never answers SKIPPED, and a budget that runs out raises instead of
+# answering
 CLASH = "clash"
 ADDITIONS = "additions"
-INCONCLUSIVE = "inconclusive"
 SKIPPED = "skipped"
 
 MAX_BRANCHES = 100_000  # branch alternatives one graph may take
@@ -482,15 +482,10 @@ class CompletionGraph:
             if reason:
                 return ClashInfo(x, reason)
         for c in label:
-            if isinstance(c, AtMost):
-                witnesses = [y for y in self.successors(x, c.prop)
-                             if c.filler in self.nodes[y].label]
-                if len(witnesses) > c.n:
-                    for combo in itertools.combinations(witnesses, c.n + 1):
-                        if all(b in self.nodes[a].distinct
-                               for a, b in itertools.combinations(combo, 2)):
-                            return ClashInfo(
-                                x, f"{c.key()} with {c.n + 1} distinct witnesses")
+            if isinstance(c, AtMost) and _has_distinct(
+                    self, _witnesses(self, x, c), c.n + 1):
+                return ClashInfo(
+                    x, f"{c.key()} with {c.n + 1} distinct witnesses")
         return None
 
     def first_clash(self) -> ClashInfo | None:
@@ -629,32 +624,31 @@ def _forall_rule(g: CompletionGraph, x: NodeId):
 
 def _exists_rule(g: CompletionGraph, x: NodeId):
     for c in g.nodes[x].sorted_label():
-        if isinstance(c, Exists):
-            if not any(c.filler in g.nodes[y].label
-                       for y in g.successors(x, c.prop)):
-                return ("generate", x, c.prop, [c.filler], False)
+        if isinstance(c, Exists) and not _witnesses(g, x, c):
+            return ("generate", x, c.prop, [c.filler], False)
     return None
 
 
 def _atleast_rule(g: CompletionGraph, x: NodeId):
     for c in g.nodes[x].sorted_label():
-        if isinstance(c, AtLeast):
-            found = [y for y in g.successors(x, c.prop)
-                     if c.filler in g.nodes[y].label]
-            distinct_count = _max_pairwise_distinct(g, found)
-            if distinct_count < c.n:
-                return ("generate", x, c.prop, [c.filler] * c.n, True)
+        if isinstance(c, AtLeast) and not _has_distinct(
+                g, _witnesses(g, x, c), c.n):
+            return ("generate", x, c.prop, [c.filler] * c.n, True)
     return None
 
 
-def _max_pairwise_distinct(g: CompletionGraph, nodes: list[NodeId]) -> int:
-    best = 0
-    for r in range(len(nodes), 0, -1):
-        for combo in itertools.combinations(nodes, r):
-            if all(b in g.nodes[a].distinct
-                   for a, b in itertools.combinations(combo, 2)):
-                return r
-    return best
+def _witnesses(g: CompletionGraph, x: NodeId, c: Concept) -> list[NodeId]:
+    """The neighbors of x over the restriction c's property whose label
+    holds its filler."""
+    return [y for y in g.successors(x, c.prop)
+            if c.filler in g.nodes[y].label]
+
+
+def _has_distinct(g: CompletionGraph, nodes: list[NodeId], k: int) -> bool:
+    """Some k of nodes are pairwise distinct."""
+    return any(all(b in g.nodes[a].distinct
+                   for a, b in itertools.combinations(combo, 2))
+               for combo in itertools.combinations(nodes, k))
 
 
 def _choose_rule(g: CompletionGraph, x: NodeId):
@@ -670,8 +664,7 @@ def _choose_rule(g: CompletionGraph, x: NodeId):
 def _atmost_rule(g: CompletionGraph, x: NodeId):
     for c in g.nodes[x].sorted_label():
         if isinstance(c, AtMost):
-            witnesses = [y for y in g.successors(x, c.prop)
-                         if c.filler in g.nodes[y].label]
+            witnesses = _witnesses(g, x, c)
             if len(witnesses) <= c.n:
                 continue
             pairs = []
@@ -1018,18 +1011,13 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
                         if d not in g.nodes[y].label:
                             complain("6", f"node {x}: {d.key()} missed node {y}")
             if isinstance(c, Exists) and not blocked:
-                if not any(c.filler in g.nodes[y].label
-                           for y in g.successors(x, c.prop)):
+                if not _witnesses(g, x, c):
                     complain("5", f"node {x}: no witness for {c.key()}")
             if isinstance(c, AtLeast) and not blocked:
-                found = [y for y in g.successors(x, c.prop)
-                         if c.filler in g.nodes[y].label]
-                if _max_pairwise_distinct(g, found) < c.n:
+                if not _has_distinct(g, _witnesses(g, x, c), c.n):
                     complain("9", f"node {x}: too few witnesses for {c.key()}")
             if isinstance(c, AtMost) and blocked.kind != "indirect":
-                found = [y for y in g.successors(x, c.prop)
-                         if c.filler in g.nodes[y].label]
-                if len(found) > c.n:
+                if len(_witnesses(g, x, c)) > c.n:
                     complain("8", f"node {x}: at-most bound exceeded for {c.key()}")
             if isinstance(c, (AtLeast, AtMost)) and not blocked:
                 for y in g.successors(x, c.prop):

@@ -192,7 +192,6 @@ def test_load_kb_square_matches_expectation():
 def test_load_single_unit_kb():
     kb = load_kb(["(unit solo)\n(concept A)"])
     assert kb.unit_order == ["solo"]
-    assert kb.neighbors("solo") == set()
 
 
 def test_load_dangling_unit_reference_fails():

@@ -72,36 +72,47 @@ def test_make_and_canonical():
     assert make_or([], "u1") == Bottom("u1")
 
 
+# the label closure: DistributedKB.label_universe
+
 def test_closure_single_atom():
     kb = DistributedKB.build({"u1": UnitKB(unit="u1", concept_names={"A"})})
-    assert kb.closure(A, "u1") == {A}
+    # the empty internalization is top; complements close the set
+    assert kb.label_universe(A) == {A, Not(A), Top("u1"), Bottom("u1")}
 
 
 def test_closure_contains_filler_and_restriction():
     kb = DistributedKB.build({"u1": UnitKB(unit="u1", concept_names={"A", "G"})})
     c = Exists(R, Atom("u1", "G"))
-    cl = kb.closure(c, "u1")
+    cl = kb.label_universe(c)
     assert c in cl and Atom("u1", "G") in cl
+    assert ForAll(R, Not(Atom("u1", "G"))) in cl
 
 
 def test_closure_covers_other_units_tboxes():
     kb = conference_square_kb()
     goal = parse_concept("(and MedicalArticle (not Article))", "u1")
-    cl = kb.closure(goal, "u1")
+    cl = kb.label_universe(goal)
+    # an absorbed right side, and a bridge rule of another unit
     assert parse_concept("(all presentedAt MedicalConference)", "u1") in cl
+    assert parse_concept("(or (not PediatricConference) u1:MedicalConference)",
+                         "u3") in cl
 
 
 def test_closure_size_bound():
+    # no role is transitive, so forall-plus adds nothing: each member is a
+    # sub-expression of the goal, an internalization or an absorbed GCI,
+    # or the complement of one
     kb = conference_square_kb()
     goal = parse_concept("(and MedicalArticle (not Article))", "u1")
-    cl = kb.closure(goal, "u1")
+    cl = kb.label_universe(goal)
 
     def size(c):
         return len(subconcepts(c))
 
-    bound = 2 * (size(nnf(goal))
-                 + sum(size(kb.tbox_concept(u)) for u in kb.unit_order))
-    assert len(cl) <= bound
+    parts = [nnf(goal)] + [kb.internalization(u) for u in kb.unit_order]
+    parts += [c for u in kb.unit_order
+              for a, rhs in kb.absorbed(u).items() for c in (a, *rhs)]
+    assert len(cl) <= 2 * sum(size(c) for c in parts)
 
 
 def test_internalization_empty_unit_is_top():
@@ -147,17 +158,6 @@ def test_internalization_is_pure_function_of_kb():
     kb2 = conference_triangle_kb()
     for u in kb1.unit_order:
         assert kb1.internalization(u) == kb2.internalization(u)
-
-
-def test_neighbors_empty_without_couplings():
-    kb = DistributedKB.build({"u1": UnitKB(unit="u1"), "u2": UnitKB(unit="u2")})
-    assert kb.neighbors("u1") == set()
-
-
-def test_neighbors_square():
-    kb = conference_square_kb()
-    assert kb.neighbors("u2") == {"u1", "u4"}
-    assert kb.neighbors("u1") == {"u2", "u3", "u4"}
 
 
 def test_sub_properties_reflexive():

@@ -5,12 +5,13 @@ import pytest
 
 from ontomesh import peer, tableau
 from ontomesh.io import load_kb, parse_concept
-from ontomesh.model import Atom
+from ontomesh.model import Atom, Not
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import (
     HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
 )
 from ontomesh.protocol import ProjectionCache, ProtocolError
+from ontomesh.tableau import ADDITIONS, CLASH, SKIPPED, Obligation
 
 from figures import (
     articles_linked_kb, articles_overlap_kb, conference_square_kb,
@@ -347,6 +348,32 @@ def test_budget_exhaustion_is_inconclusive(monkeypatch):
         s.is_satisfiable(parse_concept("A", "u1"))
 
 
+def test_budget_exhausted_in_a_serve_is_not_an_answer(monkeypatch):
+    # u1's goal graph is one node; u2's copy for the projected u2:B needs
+    # four: root, the projected node and the r-successors for C and D
+    u2 = """
+(unit u2)
+(concept B)
+(concept C)
+(concept D)
+(role r)
+(sub B (some r C))
+(sub C (some r D))
+"""
+    s = _session(load_kb(["(unit u1)\n(concept A)", u2]))
+    goal = parse_concept("(and A u2:B)", "u1")
+    monkeypatch.setattr(tableau, "MAX_NODES", 3)
+    with pytest.raises(InconclusiveError):
+        s.is_satisfiable(goal)
+    assert [e[0] for e in s.log] == ["projection_request"]
+    assert all(not p._serving and p._serve_depth == 0
+               for p in s.peers.values())
+    monkeypatch.undo()
+    # nothing of the failed serve was kept as an answer
+    assert s.is_satisfiable(goal) is True
+    assert s.metrics_snapshot()["u1"]["packages_sent"] == 1
+
+
 # -- reverse updates ---------------------------------------------------------------
 
 def _reverse_cycle_kb():
@@ -412,6 +439,92 @@ def test_reentrant_serve_respects_depth_limit(monkeypatch):
         _session(_reentrant_kb()).is_satisfiable(goal)
     monkeypatch.setattr(peer, "SERVE_DEPTH_LIMIT", 2)
     assert _session(_reentrant_kb()).is_satisfiable(goal)
+
+
+# -- mapping package answers back to obligations ------------------------------------
+
+def _record_hooks(monkeypatch) -> list[dict]:
+    """Per projection hook call: the peer, its obligations, the packages it
+    built, the answer to each package it sent, and what it returned."""
+    calls, open_calls = [], []
+    make_hook, send = Peer.projection_hook, Peer._send_package
+    build = peer.build_packages
+
+    def recorded_make_hook(self, origin):
+        hook = make_hook(self, origin)
+
+        def recorded_hook(obligations):
+            call = {"peer": self.unit, "obligations": list(obligations),
+                    "packages": [], "answers": {}}
+            calls.append(call)
+            open_calls.append(call)
+            try:
+                call["results"] = hook(obligations)
+            finally:
+                open_calls.pop()
+            return call["results"]
+        return recorded_hook
+
+    def recorded_build(*args):
+        packages = build(*args)
+        open_calls[-1]["packages"].extend(packages)
+        return packages
+
+    def recorded_send(self, pkg):
+        outcomes = send(self, pkg)
+        open_calls[-1]["answers"][pkg.id] = outcomes
+        return outcomes
+
+    monkeypatch.setattr(Peer, "projection_hook", recorded_make_hook)
+    monkeypatch.setattr(Peer, "_send_package", recorded_send)
+    monkeypatch.setattr(peer, "build_packages", recorded_build)
+    return calls
+
+
+def test_hook_maps_each_package_answer_to_its_obligation(monkeypatch):
+    calls = _record_hooks(monkeypatch)
+    s = _session(conference_triangle_kb())
+    s.classify("u3")
+    stops = [e for e in s.log if e[0] == "stop"]
+    assert [e[:3] + e[4:] for e in stops] == [("stop", "u3", "u4", "skipped")]
+    skipped = stops[0][3]
+    verdicts = set()
+    for call in calls:
+        obligations = call["obligations"]
+        want = [None] * len(obligations)
+        for pkg in call["packages"]:
+            for k, item in enumerate(pkg.items):
+                i, = [i for i, ob in enumerate(obligations)
+                      if (ob.dest_unit, ob.node) == (pkg.to, item.source_node)]
+                want[i] = ((SKIPPED, None) if pkg.id == skipped
+                           else call["answers"][pkg.id][k])
+        assert call["results"] == want
+        verdicts.update(v for v, _ in want)
+    assert verdicts == {ADDITIONS, CLASH, SKIPPED}
+
+
+def test_hook_answers_by_item_and_gives_holed_peers_no_additions():
+    broken = """
+(unit u1)
+(concept C)
+(individual a)
+(sub C (not C))
+(instance a C)
+"""
+    kb = load_kb([broken, "(unit u2)\n(concept X)", "(unit u3)\n(concept Y)"])
+    s = _session(kb)
+    assert s.initialize() == {"u1"}
+    y = Atom("u3", "Y")
+    # the package to u3 sorts node 1's item before node 0's; only node 1's
+    # fragment clashes there, and u1 is holed
+    obligations = [Obligation(0, "u3", (y,), None),
+                   Obligation(0, "u1", (Atom("u1", "C"),), None),
+                   Obligation(1, "u3", (Not(y), y), None)]
+    hook = s.peers["u2"].projection_hook("u2")
+    assert hook(obligations) == [(ADDITIONS, ()), (ADDITIONS, ()),
+                                 (CLASH, None)]
+    assert [e[:3] for e in s.log if e[0] == "projection_request"] == [
+        ("projection_request", "u2", "u3")]
 
 
 # -- session lifetime ------------------------------------------------------------
