@@ -117,9 +117,8 @@ class Peer:
         InconclusiveError when the check runs out of budget."""
         others = set(self.kb_full.unit_order) - {self.unit}
         isolated = handle_hole(self.kb_full, others)
-        graph = init_graph(isolated, self.unit)
         try:
-            outcome = expand_to_completion(graph)
+            outcome = expand_to_completion(init_graph(isolated, self.unit))
         except BudgetExceeded as e:
             raise InconclusiveError(
                 f"peer {self.unit} failed to initialize: {e}") from e
@@ -127,12 +126,17 @@ class Peer:
         return self.phase
 
     def adopt_holes(self, holed: set[str]):
-        """Freeze the working view and skeleton once the hole set is known."""
+        """Freeze the working view and skeleton once the hole set is known;
+        raises InconclusiveError when the skeleton outgrows the budget."""
         if self.phase != READY:
             return
         self.holes = set(holed)
-        self.skeleton = init_graph(handle_hole(self.kb_full, self.holes),
-                                   self.unit)
+        try:
+            self.skeleton = init_graph(handle_hole(self.kb_full, self.holes),
+                                       self.unit)
+        except BudgetExceeded as e:
+            raise InconclusiveError(
+                f"peer {self.unit} failed to build its skeleton: {e}") from e
 
     # -- outbound projections ----------------------------------------------------
 
@@ -140,37 +144,30 @@ class Peer:
         """The hook a graph expansion uses to flush its obligations.  It
         packages them per neighbor, consults the cache, ships what is left
         through the router and hands each item's outcome to its obligation,
-        the only one for the item's (destination, node).  Obligations
-        toward holed peers get no additions.  After a clash for some node,
-        that node's remaining packages are never sent: the branch is
-        closing anyway, so their answers could not change it.  A budget
-        that runs out in a serve raises through the hook."""
+        which is the item itself.  Obligations toward holed peers are not
+        packaged and get no additions.  After a clash for some node, that
+        node's remaining packages are never sent: the branch is closing
+        anyway, so their answers could not change it.  A budget that runs
+        out in a serve raises through the hook."""
 
         def hook(obligations: list[Obligation]):
-            index = {(ob.dest_unit, ob.node): i
-                     for i, ob in enumerate(obligations)}
-            results = [(ADDITIONS, ())] * len(obligations)
+            results = dict.fromkeys(obligations, (ADDITIONS, ()))
             clashed_nodes: set[int] = set()
             for pkg in build_packages(obligations, self.unit, origin,
                                       self._pkg_counter, self.holes):
-                members = [index[pkg.to, item.source_node]
-                           for item in pkg.items]
-                if any(item.source_node in clashed_nodes
-                       for item in pkg.items):
-                    for i in members:
-                        results[i] = (SKIPPED, None)
+                if any(ob.node in clashed_nodes for ob in pkg.items):
+                    results.update(dict.fromkeys(pkg.items, (SKIPPED, None)))
                     self.router.notify_skip(self.unit, pkg)
                     continue
-                for i, outcome in zip(members, self._send_package(pkg)):
-                    results[i] = outcome
+                for ob, outcome in zip(pkg.items, self._send_package(pkg)):
+                    results[ob] = outcome
                     verdict, payload = outcome
                     if verdict == CLASH:
-                        ob = obligations[i]
                         clashed_nodes.add(ob.node)
                         if payload != JOINT:
                             self.cache.record_clash(ob.dest_unit, ob.fragment,
                                                     ob.target_individual)
-            return results
+            return [results[ob] for ob in obligations]
 
         return hook
 
@@ -207,8 +204,7 @@ class Peer:
                 return tuple((ADDITIONS, ()) for _ in pkg.items), False
             self._serving.add(key)
             self._serve_depth += 1
-        origin = pkg.items[0].trigger_origin or pkg.frm
-        hook = self.projection_hook(origin)
+        hook = self.projection_hook(pkg.origin)
         try:
             outcomes = serve_package(pkg, self.skeleton, hook,
                                      reverse_updates=self.config.reverse_updates,
@@ -234,8 +230,7 @@ class LoopbackRouter:
         session = self.session
         session.log.append(("projection_request", pkg.frm, pkg.to, pkg.id,
                             len(pkg.items)))
-        origin = pkg.items[0].trigger_origin or pkg.frm
-        session.peers[origin].metrics.projections_triggered += len(pkg.items)
+        session.peers[pkg.origin].metrics.projections_triggered += len(pkg.items)
         receiver = session.peers[pkg.to]
         outcomes, final = receiver.serve(pkg)
         session.log.append(("projection_response", pkg.to, pkg.frm, pkg.id,

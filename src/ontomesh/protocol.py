@@ -89,38 +89,35 @@ def concept_to_obj(c: Concept):
 # message types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionItem:
-    source_node: int
-    fragment: tuple[Concept, ...]       # canonically ordered, never empty
-    target_individual: str | None = None
-    trigger_origin: str | None = None
-
-    def content_key(self) -> str:
-        frag = ",".join(c.key() for c in self.fragment)
-        return f"{self.target_individual or ''}|{frag}"
-
-    def to_payload(self):
-        return {"source_node": self.source_node,
-                "fragment": [concept_to_obj(c) for c in self.fragment],
-                "target_individual": self.target_individual,
-                "trigger_origin": self.trigger_origin}
+def content_key(item: Obligation) -> str:
+    """An item's payload without provenance."""
+    frag = ",".join(c.key() for c in item.fragment)
+    return f"{item.target_individual or ''}|{frag}"
 
 
 @dataclass(frozen=True)
 class ProjectionPackage:
+    """The obligations of one peer toward one neighbor, as items.  origin
+    is the peer whose task set off the request: frm itself, or the origin
+    of the package whose serve made these obligations."""
+
     id: str
     frm: str
     to: str
-    items: tuple[ProjectionItem, ...]
+    origin: str
+    items: tuple[Obligation, ...]
 
     def content_bytes(self) -> bytes:
         """Cache and dedup key: the item payload without provenance."""
-        return ";".join(sorted(i.content_key() for i in self.items)).encode()
+        return ";".join(sorted(map(content_key, self.items))).encode()
 
     def to_payload(self):
         return {"id": self.id, "from": self.frm, "to": self.to,
-                "items": [i.to_payload() for i in self.items]}
+                "items": [{"source_node": i.node,
+                           "fragment": [concept_to_obj(c) for c in i.fragment],
+                           "target_individual": i.target_individual,
+                           "trigger_origin": self.origin}
+                          for i in self.items]}
 
 
 # payload marker on a clash outcome that was attributed to a whole package
@@ -196,23 +193,19 @@ class ProjectionCache:
 def build_packages(obligations: list[Obligation], frm: str, origin: str,
                    id_counter: itertools.count,
                    holes: set[str] = frozenset()) -> list[ProjectionPackage]:
-    """One package per destination peer, items canonically sorted.  Items
-    destined for holed peers are dropped: a holed unit's vocabulary has
-    already been rewritten away."""
-    by_dest: dict[str, list[ProjectionItem]] = {}
+    """One package per destination peer, in destination order, whose items
+    are the obligations toward it in content order.  Obligations toward
+    holed peers are dropped: a holed unit's vocabulary has already been
+    rewritten away."""
+    by_dest: dict[str, list[Obligation]] = {}
     for ob in obligations:
-        if ob.dest_unit in holes:
-            continue
-        by_dest.setdefault(ob.dest_unit, []).append(ProjectionItem(
-            source_node=ob.node,
-            fragment=ob.fragment,
-            target_individual=ob.target_individual,
-            trigger_origin=origin))
+        if ob.dest_unit not in holes:
+            by_dest.setdefault(ob.dest_unit, []).append(ob)
     out = []
     for dest in sorted(by_dest):
-        items = tuple(sorted(by_dest[dest], key=ProjectionItem.content_key))
         out.append(ProjectionPackage(
-            id=f"{frm}-{next(id_counter)}", frm=frm, to=dest, items=items))
+            id=f"{frm}-{next(id_counter)}", frm=frm, to=dest, origin=origin,
+            items=tuple(sorted(by_dest[dest], key=content_key))))
     return out
 
 
@@ -292,10 +285,8 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
                     f"projection names unknown individual "
                     f"{item.target_individual!r} of {copy.unit}")
         if node_id is None:
-            node = copy.new_node(("projected", requester, item.source_node))
-            node_id = node.id
-        copy.set_corr(node_id, requester,
-                      requester=(requester, item.source_node))
+            node_id = copy.new_node(("projected", requester, item.node)).id
+        copy.set_corr(node_id, requester, requester=(requester, item.node))
         for c in item.fragment:
             copy.add_label(node_id, c)
         placed.append(node_id)
@@ -307,9 +298,6 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
     first = copy.branch_stack[0].snapshot if copy.branch_stack else None
     outcomes = []
     for item, node_id in zip(items, placed):
-        if node_id not in copy.nodes:
-            outcomes.append((ADDITIONS, ()))
-            continue
         literals = response_literals(copy, node_id, item.fragment)
         if first is not None:
             chosen = copy.added_since(node_id, first)

@@ -5,11 +5,17 @@ detects clashes, blocks, and backtracks chronologically through recorded
 branch points.  Cross-peer work is emitted as projection obligations: the
 caller decides how they are shipped and feeds the outcomes back in.
 
-The rules, in the order a step looks for them:
+A step sweeps the nodes once in id order, computing each node's blocked
+status and checking it for a clash; a clash sends the engine back to the
+newest open branch point.  Otherwise the step applies the first action of
+the rules, in this order:
 - ce: the unit's internalization joins every unblocked node's label;
 - local: and, unfold, then the value rule and forall-plus;
 - generate: exists and at-least create successors;
 - branch: or, choose, and at-most merges, each a branch point.
+An action is ("add", x, [concepts]) for a label addition, ("generate", x,
+property, fillers, distinct), ("merge", keep, gone), or ("branch", rule, x,
+alternatives), whose alternatives are "add" or "merge" actions.
 
 Unfold is lazy unfolding (Baader et al. 1994; Horrocks & Tobies, KR 2000):
 a GCI A subsumed-by C with an atom A of the unit is absorbed, not
@@ -43,7 +49,7 @@ set or correspondences, or those of a neighbor) gives it a fresh one, and
 the trail puts old versions back, so a (node, version) pair always names
 one state of the node's one-hop neighbourhood, which is all that any rule
 reads.  The engine remembers the (node, version, blocked kind) keys at
-which a rule phase or a clash check found nothing and skips them, which
+which a rule phase or the clash check found nothing and skips them, which
 keeps the firing order of a full rescan.
 """
 
@@ -164,8 +170,11 @@ class Node:
         return sorted(self.label, key=by_key)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Obligation:
+    """A projection request, and the item of a projection package: the
+    node's foreign fragment, for dest_unit's named individual or a new node."""
+
     node: NodeId
     dest_unit: UnitId
     fragment: tuple[Concept, ...]
@@ -568,16 +577,10 @@ def init_graph(kb: DistributedKB, unit: UnitId,
 # the expansion rules
 # ---------------------------------------------------------------------------
 
-def apply_ce_rule(g: CompletionGraph, x: NodeId) -> bool:
-    """Inject this unit's internalization concept into the label."""
-    ck = g.kb.internalization(g.unit)
-    return g.add_label(x, ck)
-
-
 def _and_rule(g: CompletionGraph, x: NodeId):
     for c in g.nodes[x].sorted_label():
         if isinstance(c, And) and not {c.left, c.right} <= g.nodes[x].label:
-            return ("add_many", x, [c.left, c.right])
+            return ("add", x, [c.left, c.right])
     return None
 
 
@@ -588,7 +591,7 @@ def _unfold_rule(g: CompletionGraph, x: NodeId):
         if a in label:
             missing = [c for c in rhs if c not in label]
             if missing:
-                return ("add_many", x, missing)
+                return ("add", x, missing)
     return None
 
 
@@ -603,7 +606,7 @@ def _or_rule(g: CompletionGraph, x: NodeId):
     for c in g.nodes[x].sorted_label():
         if isinstance(c, Or) and not {c.left, c.right} & g.nodes[x].label:
             alts = sorted({c.left, c.right}, key=branch_order)
-            return ("branch", "or", x, [("add", x, d) for d in alts])
+            return ("branch", "or", x, [("add", x, [d]) for d in alts])
     return None
 
 
@@ -613,12 +616,12 @@ def _forall_rule(g: CompletionGraph, x: NodeId):
         if isinstance(c, ForAll):
             for y in g.forall_targets(x, c.prop):
                 if c.filler not in g.nodes[y].label:
-                    return ("add", y, c.filler)
+                    return ("add", y, [c.filler])
             for r in g.kb.transitive_subroles(c.prop):
                 d = ForAll(r, c.filler)
                 for y in g.successors(x, r):
                     if d not in g.nodes[y].label:
-                        return ("add", y, d)
+                        return ("add", y, [d])
     return None
 
 
@@ -657,7 +660,7 @@ def _choose_rule(g: CompletionGraph, x: NodeId):
             for y in g.successors(x, c.prop):
                 if not {c.filler, neg(c.filler)} & g.nodes[y].label:
                     alts = sorted({c.filler, neg(c.filler)}, key=branch_order)
-                    return ("branch", "choose", y, [("add", y, d) for d in alts])
+                    return ("branch", "choose", y, [("add", y, [d]) for d in alts])
     return None
 
 
@@ -754,31 +757,41 @@ def _scan(g: CompletionGraph, keyed: list, memo: set, phase):
     return None
 
 
-def _find_action(g: CompletionGraph):
+def _sweep(g: CompletionGraph, clash_memo: set):
+    """One walk over the nodes in id order: each node's blocked status and
+    (node, ver, blocked kind) key, checked for a clash unless its key is in
+    clash_memo.  Returns (the first clash or None, [(node, blocked, key)]);
+    the list is complete only when no clash was found."""
     nodes = g.nodes
     keyed = []
     for x in sorted(nodes):
         b = g.blocked(x)
-        if not b and apply_ce_could(g, x):  # one set lookup: no memo needed
-            return ("ce", x)
-        keyed.append((x, b, (x, nodes[x].ver, b.kind)))
+        key = (x, nodes[x].ver, b.kind)
+        if key not in clash_memo:
+            clash = g.detect_clash(x)
+            if clash is not None:
+                return clash, keyed
+            clash_memo.add(key)
+        keyed.append((x, b, key))
+    return None, keyed
+
+
+def _find_action(g: CompletionGraph, keyed: list):
+    """The first action over the sweep's keyed list: the ce rule, then the
+    local, generate and branch phases."""
+    ck = g.kb.internalization(g.unit)
+    for x, b, _ in keyed:
+        if not b and ck not in g.nodes[x].label:  # one lookup: no memo
+            return ("add", x, [ck])
     local, generate, branch = g._rule_memo
     return (_scan(g, keyed, local, _local_phase)
             or _scan(g, keyed, generate, _generate_phase)
             or _scan(g, keyed, branch, _branch_phase))
 
 
-def apply_ce_could(g: CompletionGraph, x: NodeId) -> bool:
-    return g.kb.internalization(g.unit) not in g.nodes[x].label
-
-
 def _apply_action(g: CompletionGraph, action) -> None:
     kind = action[0]
-    if kind == "ce":
-        apply_ce_rule(g, action[1])
-    elif kind == "add":
-        g.add_label(action[1], action[2])
-    elif kind == "add_many":
+    if kind == "add":
         for c in action[2]:
             g.add_label(action[1], c)
     elif kind == "generate":
@@ -821,28 +834,6 @@ def _backtrack(g: CompletionGraph) -> bool:
     return False
 
 
-def _next_clash(g: CompletionGraph,
-                clash_free: dict[tuple[NodeId, int], bool]) -> ClashInfo | None:
-    """first_clash() over the nodes without a clash-free record for their
-    version.  A record made while the node was unblocked (True) also holds
-    the clash oracle's answer, so it covers either blocked state; one made
-    while it was blocked (False) holds only while it stays blocked."""
-    nodes = g.nodes
-    for x in sorted(nodes):
-        key = (x, nodes[x].ver)
-        seen_unblocked = clash_free.get(key)
-        if seen_unblocked:
-            continue
-        blocked = bool(g.blocked(x))
-        if seen_unblocked is not None and blocked:
-            continue
-        info = g.detect_clash(x)
-        if info is not None:
-            return info
-        clash_free[key] = not blocked
-    return None
-
-
 def expand_local(g: CompletionGraph) -> bool:
     """Apply rules to fixpoint with chronological backtracking.  True when
     a clash-free, locally complete state is reached; False when every
@@ -853,21 +844,22 @@ def expand_local(g: CompletionGraph) -> bool:
     with alternatives left and applies the next one, so a backtrack costs
     the changes made since that mark, not the size of the graph.
 
-    Each step finds the same clash and the same action as a full rescan
-    would, but skips nodes whose version and blocked kind say that nothing
-    they can see changed since a check there found nothing.  The rule memo
-    lives on the graph and survives backtracking, since undoing the trail
-    puts back the versions that went with the restored state.  The clash
-    memo starts empty at every call, because the clash oracle may learn
-    between calls (never during one)."""
-    clash_free: dict[tuple[NodeId, int], bool] = {}
+    Each step is one sweep over the nodes, which checks them for a clash,
+    and then, if none clashes, a search for the first action.  Both find
+    what a full rescan would, but skip nodes whose (node, version, blocked
+    kind) key says that nothing they can see changed since a check there
+    found nothing.  The rule memo lives on the graph and survives
+    backtracking, since undoing the trail puts back the versions that went
+    with the restored state.  The clash memo starts empty at every call,
+    because the clash oracle may learn between calls (never during one)."""
+    clash_memo: set = set()
     while True:
-        clash = _next_clash(g, clash_free)
+        clash, keyed = _sweep(g, clash_memo)
         if clash is not None:
             if not _backtrack(g):
                 return False
             continue
-        action = _find_action(g)
+        action = _find_action(g, keyed)
         if action is None:
             return True
         _apply_action(g, action)
@@ -907,24 +899,8 @@ def collect_obligations(g: CompletionGraph) -> list[Obligation]:
     return out
 
 
-def apply_pi_update(g: CompletionGraph, node: NodeId,
-                    additions: tuple[Concept, ...]) -> bool:
-    """Label maintenance along a correspondence: feeds a partner's foreign
-    literals back into the source node."""
-    changed = False
-    for c in additions:
-        changed |= g.add_label(node, c)
-    return changed
-
-
 def mark_sent(g: CompletionGraph, ob: Obligation):
     g.set_corr(ob.node, ob.dest_unit, sent_fragment=ob.fragment)
-
-
-def poison(g: CompletionGraph, node: NodeId):
-    """Force a clash on the node: its projection reported an unsatisfiable
-    correspondent, so this branch cannot stand."""
-    g.add_label(node, Bottom(g.unit))
 
 
 def expand_to_completion(g: CompletionGraph, projection_hook=None,
@@ -934,29 +910,27 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None,
 
     The hook takes a list of Obligations and returns a list of
     (CLASH, payload), (ADDITIONS, tuple-of-literals) or (SKIPPED, None)
-    outcomes aligned with it.  Clash poisons the obligation's source node,
-    which sends the engine back into chronological backtracking."""
+    outcomes aligned with it, applied in place: each but SKIPPED marks its
+    fragment sent, additions join the node's label when reverse_updates is
+    on, and the first clash puts Bottom there and ends the round, which
+    sends the engine back into chronological backtracking."""
     while True:
         if not expand_local(g):
             return Outcome.UNSATISFIABLE
         obligations = collect_obligations(g)
         if not obligations or projection_hook is None:
             return Outcome.COMPLETE
-        outcomes = projection_hook(obligations)
-        clashed = False
-        for ob, (verdict, payload) in zip(obligations, outcomes):
-            if ob.node not in g.nodes or verdict == SKIPPED:
+        for ob, (verdict, payload) in zip(obligations,
+                                          projection_hook(obligations)):
+            if verdict == SKIPPED:
                 continue
             mark_sent(g, ob)
             if verdict == CLASH:
-                poison(g, ob.node)
-                clashed = True
+                g.add_label(ob.node, Bottom(g.unit))
                 break
-            if verdict == ADDITIONS and reverse_updates:
-                apply_pi_update(g, ob.node, payload)
-        if clashed:
-            continue
-        # loop again: new foreign content may have produced new obligations
+            if reverse_updates:
+                for c in payload:
+                    g.add_label(ob.node, c)
 
 
 # ---------------------------------------------------------------------------

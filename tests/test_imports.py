@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every private function, class and method is used somewhere in it.
+"""Every module-level import in the package is used by its module, every
+private function, class and method is used somewhere in it, and every
+identifier of the package and its tests is ASCII.
 
 No linter ships with the test toolchain, so this walks the syntax tree
 with the standard library instead.
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ontomesh"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ontomesh"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +77,37 @@ def test_checker_flags_an_orphaned_private_name():
 def test_no_orphaned_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert orphaned_private_names(sources) == []
+
+
+def non_ascii_identifiers(source: str) -> list[str]:
+    """The identifiers of source that are not ASCII: every string field of
+    a syntax node (names, attributes, arguments, definitions, aliases,
+    keywords) but the value of a constant.  Strings and comments are not
+    identifiers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant):
+            continue
+        for _, value in ast.iter_fields(node):
+            for name in value if isinstance(value, list) else [value]:
+                if isinstance(name, str) and not name.isascii():
+                    found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_non_ascii_identifier():
+    src = ("\u03c0 = 3\n"
+           "def f(\u03b1, *, \u03b2=1):\n    return \u03b1.\u03c9\n"
+           "f(1, \u03b2='\u03bb')  # \u03bc\n"
+           "import os as \u00f8\n")
+    assert non_ascii_identifiers(src) == [
+        "line 1: \u03c0", "line 2: \u03b1", "line 2: \u03b2",
+        "line 3: \u03b1", "line 3: \u03c9", "line 4: \u03b2",
+        "line 5: \u00f8"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_identifiers_are_ascii(path):
+    assert non_ascii_identifiers(path.read_text(encoding="utf-8")) == []

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from ontomesh.io import (
-    LoadError, ParseError, SchemaError, load_kb, parse_concept,
-    parse_coupling, parse_unit, serialize_coupling, serialize_unit,
+    LoadError, ParseError, SchemaError, load_kb, load_kb_paths,
+    parse_concept, parse_coupling, parse_unit, serialize_coupling,
+    serialize_unit,
 )
 from ontomesh.model import (
     Atom, Exists, ForAll, Or, Property, UnitKB, ONTO,
@@ -192,6 +195,36 @@ def test_load_kb_square_matches_expectation():
 def test_load_single_unit_kb():
     kb = load_kb(["(unit solo)\n(concept A)"])
     assert kb.unit_order == ["solo"]
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_load_kb_paths_reads_what_load_kb_reads(tmp_path):
+    coupling = json.dumps({"unit": "u1", "mappings": [{
+        "source_unit": "u2",
+        "bridge_rules": [{"kind": "onto", "source": "u2:A", "target": "u1:B"}],
+        "individual_correspondences": [{"foreign": "u2:x", "local": "u1:y"}]}]})
+    units = [_write(tmp_path, f"unit{i}.txt", text)
+             for i, text in enumerate(_TWO_UNITS)]
+    kb = load_kb_paths(units, [_write(tmp_path, "u1.json", coupling)])
+    assert kb == load_kb(_TWO_UNITS, [coupling])
+    assert kb.couplings["u1"].bridge_rules
+
+
+@pytest.mark.parametrize("unit, coupling, named", [
+    ("(unit u1)\n(frobnicate A)", None, "line 2, col 2: unknown form"),
+    ("(unit u1)", "{", "invalid JSON"),
+], ids=["unit-form", "coupling-json"])
+def test_load_kb_paths_bad_file_fails_to_load(tmp_path, unit, coupling,
+                                              named):
+    couplings = [] if coupling is None else [
+        _write(tmp_path, "u1.json", coupling)]
+    with pytest.raises(LoadError, match=named):
+        load_kb_paths([_write(tmp_path, "u1.txt", unit)], couplings)
 
 
 def test_load_dangling_unit_reference_fails():

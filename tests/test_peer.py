@@ -322,11 +322,11 @@ def test_cache_off_starts_each_task_with_a_new_empty_cache(monkeypatch):
 
 def test_outcomes_identical_with_and_without_cache():
     goal = parse_concept("(and PediatricConference (not HumanActivity))", "u3")
-    верdicts = []
+    verdicts = []
     for flag in (True, False):
         s = _session(conference_triangle_kb(), use_cache=flag)
-        верdicts.append(s.is_satisfiable(goal))
-    assert верdicts[0] == верdicts[1]
+        verdicts.append(s.is_satisfiable(goal))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_triggered_attribution_goes_to_initiator():
@@ -346,6 +346,26 @@ def test_budget_exhaustion_is_inconclusive(monkeypatch):
     s = _session(kb)
     with pytest.raises(InconclusiveError):
         s.is_satisfiable(parse_concept("A", "u1"))
+
+
+def test_budget_exhausted_by_the_isolated_abox_is_inconclusive(monkeypatch):
+    # root, a and b: one node more than the budget
+    monkeypatch.setattr(tableau, "MAX_NODES", 2)
+    kb = load_kb(["(unit u1)\n(individual a)\n(individual b)"])
+    with pytest.raises(InconclusiveError, match="failed to initialize"):
+        _session(kb).initialize()
+
+
+def test_budget_exhausted_by_the_skeleton_is_inconclusive(monkeypatch):
+    # the isolated graph is root and a, as u2 is read as a hole there; the
+    # skeleton adds a placeholder for u2:b
+    monkeypatch.setattr(tableau, "MAX_NODES", 2)
+    c1 = {"unit": "u1", "links": [{"name": "e", "target_unit": "u2"}],
+          "link_assertions": [{"from": "u1:a", "link": "e", "to": "u2:b"}]}
+    kb = load_kb(["(unit u1)\n(individual a)", "(unit u2)\n(individual b)"],
+                 [c1])
+    with pytest.raises(InconclusiveError, match="skeleton"):
+        _session(kb).initialize()
 
 
 def test_budget_exhausted_in_a_serve_is_not_an_answer(monkeypatch):
@@ -495,7 +515,7 @@ def test_hook_maps_each_package_answer_to_its_obligation(monkeypatch):
         for pkg in call["packages"]:
             for k, item in enumerate(pkg.items):
                 i, = [i for i, ob in enumerate(obligations)
-                      if (ob.dest_unit, ob.node) == (pkg.to, item.source_node)]
+                      if (ob.dest_unit, ob.node) == (pkg.to, item.node)]
                 want[i] = ((SKIPPED, None) if pkg.id == skipped
                            else call["answers"][pkg.id][k])
         assert call["results"] == want

@@ -7,10 +7,8 @@ from ontomesh.io import load_kb
 from ontomesh.model import (
     And, Atom, AtLeast, AtMost, Bottom, Exists, ForAll, Not, Or, Property, Top,
 )
-from ontomesh.protocol import (
-    CacheOverflow, ProjectionCache, ProjectionItem, ProjectionPackage,
-)
-from ontomesh.tableau import init_graph
+from ontomesh.protocol import CacheOverflow, ProjectionCache, ProjectionPackage
+from ontomesh.tableau import Obligation, init_graph
 
 
 B, D = Atom("u2", "B"), Atom("u2", "D")
@@ -27,14 +25,13 @@ NOT_D_JSON = '{"op": "not", "arg": {"op": "atom", "unit": "u2", "name": "D"}}'
 def test_package_payload_is_pinned():
     # every concept constructor, an inverted role, a link relation and a
     # named target individual; the encoding is what gets counted as bytes
-    pkg = ProjectionPackage(id="u1-7", frm="u1", to="u2", items=(
-        ProjectionItem(source_node=0, fragment=(B, Not(D)),
-                       target_individual="b", trigger_origin="u1"),
-        ProjectionItem(source_node=3, fragment=(
+    pkg = ProjectionPackage(id="u1-7", frm="u1", to="u2", origin="u1", items=(
+        Obligation(0, "u2", (B, Not(D)), "b"),
+        Obligation(3, "u2", (
             Or(Top("u2"), Bottom("u2"), "u2"),
             And(Exists(R.inverse(), B), ForAll(E, Atom("u1", "A")), "u2"),
             And(AtLeast(2, R, B), AtMost(1, R, Not(D)), "u2"),
-        ), trigger_origin="u1"),
+        ), None),
     ))
     expected = (
         '{"id": "u1-7", "from": "u1", "to": "u2", "items": ['
@@ -101,8 +98,8 @@ def test_known_clash_skips_a_destination_neither_home_nor_named():
 
 
 def test_store_raises_cache_overflow_past_the_byte_budget(monkeypatch):
-    pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", items=(
-        ProjectionItem(source_node=0, fragment=(B,)),))
+    pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", origin="u1",
+                            items=(Obligation(0, "u2", (B,), None),))
     answer = (("additions", ()),)
     size = len(pkg.content_bytes()) + 64
     monkeypatch.setattr(ontomesh.protocol, "BYTE_BUDGET", size)
