@@ -42,6 +42,7 @@ from .model import (
 from .tableau import (
     ADDITIONS,
     CLASH,
+    JOINT,
     CompletionGraph,
     Obligation,
     Outcome,
@@ -118,11 +119,6 @@ class ProjectionPackage:
                            "target_individual": i.target_individual,
                            "trigger_origin": self.origin}
                           for i in self.items]}
-
-
-# payload marker on a clash outcome that was attributed to a whole package
-# rather than confirmed for the item alone
-JOINT = "joint"
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,44 @@
 """One peer's chunk of the distributed completion graph.
 
 The graph holds this unit's nodes and edges, expands them with rules,
-detects clashes, blocks, and backtracks chronologically through recorded
-branch points.  Cross-peer work is emitted as projection obligations: the
-caller decides how they are shipped and feeds the outcomes back in.
+detects clashes, blocks, and backjumps through recorded branch points.
+Cross-peer work is emitted as projection obligations: the caller decides
+how they are shipped and feeds the outcomes back in.
 
 A step sweeps the nodes once in id order, computing each node's blocked
 status and checking it for a clash; a clash sends the engine back to the
-newest open branch point.  Otherwise the step applies the first action of
-the rules, in this order:
+newest branch point that the clash depends on.  Otherwise the step applies
+the first action of the rules, in this order:
 - ce: the unit's internalization joins every unblocked node's label;
 - local: and, unfold, then the value rule and forall-plus;
 - generate: exists and at-least create successors;
 - branch: or, choose, and at-most merges, each a branch point.
-An action is ("add", x, [concepts]) for a label addition, ("generate", x,
-property, fillers, distinct), ("merge", keep, gone), or ("branch", rule, x,
-alternatives), whose alternatives are "add" or "merge" actions.
+An action is ("add", x, [concepts], deps) for a label addition,
+("generate", x, property, fillers, distinct, deps), ("merge", keep, gone),
+or ("branch", rule, x, alternatives), whose alternatives are "add" or
+"merge" actions.
+
+Dependency-directed backjumping (Horrocks & Patel-Schneider, JLC 1999;
+Baader & Sattler, Studia Logica 2001).  A dependency set is an int bitmask
+over branch-stack depth: bit k names the open branch point at depth k.
+Each label member is tagged with the set it was derived under; a member
+with no entry in its node's map depends on nothing, and the first
+derivation of a member wins.  An addition depends on what its rule read:
+and and unfold on the triggering member, or and choose alternatives on the
+disjunction (choose also on both nodes' creation) plus their own branch
+point, the ce rule on nothing.  A generated node keeps, as its creation
+set, the set of the concept that made it; the value, forall-plus and
+choose rules add the creation sets of both endpoints, since the edge they
+cross exists only with its successor.  A merge depends on every open
+branch point, and so do the members it moves and the creation sets of the
+nodes whose edges it moves.  Projection answers depend on the fragments
+they answer (see expand_to_completion).  A clash depends on its Bottom, on
+both members of a complement pair, on the foreign members of a node the
+clash oracle condemns, or, for an at-most clash, on every open branch
+point.  The engine jumps to the newest branch point in the clash's set,
+adds the set to that point's failures, and takes the next alternative; a
+point without one passes its failures, less its own bit, further down, and
+an empty set means no branch can succeed.
 
 Unfold is lazy unfolding (Baader et al. 1994; Horrocks & Tobies, KR 2000):
 a GCI A subsumed-by C with an atom A of the unit is absorbed, not
@@ -34,13 +57,14 @@ into the foreign part of the new node's label) and reach the neighbor peer
 through projection, so a branch expands entirely locally before any
 message leaves.
 
-Backtracking runs on a trail, after MiniSat (Een & Sorensson 2003).  Every
-change to the graph (a node, a label member, an edge, a distinct pair, a
-correspondence field, a version, each step of a merge) appends one undo
-record holding the old value.  A branch point keeps the trail length as its
-mark; going back to it pops records and undoes them in reverse order until
-the trail is that long again.  Nothing is copied: a backtrack costs the
-work done since the mark.
+Undo runs on a trail, after MiniSat (Een & Sorensson 2003).  Every change
+to the graph (a node, a label member and its dependency set, an edge, a
+distinct pair, a correspondence field, a creation set, a version, each step
+of a merge) appends one undo record holding the old value.  A branch point
+keeps the trail length as its mark; jumping back to it pops records and
+undoes them in reverse order until the trail is that long again, which
+also undoes every branch point above it.  Nothing is copied: a jump costs
+the work done since the mark.
 
 Expansion is incremental.  Every node carries a version drawn from a
 per-graph counter that never goes back (clones share it); any change that a
@@ -99,6 +123,10 @@ CLASH = "clash"
 ADDITIONS = "additions"
 SKIPPED = "skipped"
 
+# payload marker on a clash outcome that was attributed to a whole package
+# rather than confirmed for the item alone
+JOINT = "joint"
+
 MAX_BRANCHES = 100_000  # branch alternatives one graph may take
 MAX_NODES = 4000  # nodes one graph may hold
 
@@ -107,6 +135,7 @@ MAX_NODES = 4000  # nodes one graph may hold
 class ClashInfo:
     node: NodeId
     reason: str
+    deps: int  # the branch points the clash rests on
 
 
 @dataclass
@@ -137,7 +166,7 @@ class CorrState:
 
 class Node:
     __slots__ = ("id", "unit", "label", "origin", "parent", "distinct", "corr",
-                 "ver")
+                 "ver", "deps", "cdeps")
 
     def __init__(self, id: NodeId, unit: UnitId, origin: tuple,
                  parent: NodeId | None = None):
@@ -149,6 +178,10 @@ class Node:
         self.distinct: set[NodeId] = set()
         self.corr: dict[UnitId, CorrState] = {}
         self.ver = 0
+        # dependency sets: per label member, non-zero ones only, and of the
+        # node's creation
+        self.deps: dict[Concept, int] = {}
+        self.cdeps = 0
 
     @property
     def generated(self) -> bool:
@@ -164,6 +197,9 @@ class Node:
         n.distinct = set(self.distinct)
         n.corr = {u: c.clone() for u, c in self.corr.items()}
         n.ver = self.ver
+        if self.deps:
+            n.deps = dict(self.deps)
+        n.cdeps = self.cdeps
         return n
 
     def sorted_label(self) -> list[Concept]:
@@ -187,6 +223,7 @@ class BranchPoint:
     node: NodeId
     alternatives: list  # remaining actions, canonical order
     snapshot: int  # trail mark
+    failed: int = 0  # union of the clash sets of its failed alternatives
 
 
 # undo records are (fn, a, b), undone by fn(a, b); fn None sets the graph
@@ -248,12 +285,18 @@ class CompletionGraph:
         self._rev += 1
         return node
 
-    def add_label(self, node: NodeId, c: Concept) -> bool:
-        label = self.nodes[node].label
+    def add_label(self, node: NodeId, c: Concept, deps: int = 0) -> bool:
+        """Add c to the node's label, depending on the branch points in
+        deps; a member already there keeps its own set."""
+        n = self.nodes[node]
+        label = n.label
         if c in label:
             return False
         label.add(c)
         self._trail.append((set.discard, label, c))
+        if deps:
+            n.deps[c] = deps
+            self._trail.append((dict.__delitem__, n.deps, c))
         self._rev += 1
         self._bump_around(node)
         return True
@@ -347,6 +390,10 @@ class CompletionGraph:
             n.ver = v
 
     # -- snapshots -------------------------------------------------------------
+
+    def open_deps(self) -> int:
+        """The set of every open branch point."""
+        return (1 << len(self.branch_stack)) - 1
 
     def snapshot(self) -> int:
         """A mark to come back to: the current length of the trail."""
@@ -480,21 +527,41 @@ class CompletionGraph:
     # -- clash detection ---------------------------------------------------------
 
     def detect_clash(self, x: NodeId) -> ClashInfo | None:
-        label = self.nodes[x].label
+        """A clash at x, if any.  Of several Bottom and complement clashes
+        the one with the smallest set is taken, which jumps furthest and
+        does not depend on the label's iteration order."""
+        node = self.nodes[x]
+        label, deps = node.label, node.deps
+        found = None
         for c in label:
             if isinstance(c, Bottom):
-                return ClashInfo(x, "bottom in label")
-            if isinstance(c, Not) and c.operand in label:
-                return ClashInfo(x, f"{c.operand.key()} and its negation")
+                d = deps.get(c, 0)
+            elif isinstance(c, Not) and c.operand in label:
+                d = deps.get(c, 0) | deps.get(c.operand, 0)
+            else:
+                continue
+            if found is None or d < found.deps:
+                reason = ("bottom in label" if isinstance(c, Bottom)
+                          else f"{c.operand.key()} and its negation")
+                found = ClashInfo(x, reason, d)
+                if not d:
+                    break
+        if found is not None:
+            return found
         if self.clash_oracle is not None and not self.blocked(x):
             reason = self.clash_oracle(self, x)
             if reason:
-                return ClashInfo(x, reason)
+                d = 0
+                for c, dc in deps.items():
+                    if c.home != self.unit:
+                        d |= dc
+                return ClashInfo(x, reason, d)
         for c in label:
             if isinstance(c, AtMost) and _has_distinct(
                     self, _witnesses(self, x, c), c.n + 1):
                 return ClashInfo(
-                    x, f"{c.key()} with {c.n + 1} distinct witnesses")
+                    x, f"{c.key()} with {c.n + 1} distinct witnesses",
+                    self.open_deps())
         return None
 
     def first_clash(self) -> ClashInfo | None:
@@ -578,20 +645,22 @@ def init_graph(kb: DistributedKB, unit: UnitId,
 # ---------------------------------------------------------------------------
 
 def _and_rule(g: CompletionGraph, x: NodeId):
-    for c in g.nodes[x].sorted_label():
-        if isinstance(c, And) and not {c.left, c.right} <= g.nodes[x].label:
-            return ("add", x, [c.left, c.right])
+    node = g.nodes[x]
+    for c in node.sorted_label():
+        if isinstance(c, And) and not {c.left, c.right} <= node.label:
+            return ("add", x, [c.left, c.right], node.deps.get(c, 0))
     return None
 
 
 def _unfold_rule(g: CompletionGraph, x: NodeId):
     """Lazy unfolding of the GCIs absorbed into the label's atoms."""
-    label = g.nodes[x].label
+    node = g.nodes[x]
+    label = node.label
     for a, rhs in g.kb.absorbed(g.unit).items():
         if a in label:
             missing = [c for c in rhs if c not in label]
             if missing:
-                return ("add", x, missing)
+                return ("add", x, missing, node.deps.get(a, 0))
     return None
 
 
@@ -603,40 +672,51 @@ def branch_order(d: Concept) -> tuple:
 
 
 def _or_rule(g: CompletionGraph, x: NodeId):
-    for c in g.nodes[x].sorted_label():
-        if isinstance(c, Or) and not {c.left, c.right} & g.nodes[x].label:
+    node = g.nodes[x]
+    for c in node.sorted_label():
+        if isinstance(c, Or) and not {c.left, c.right} & node.label:
             alts = sorted({c.left, c.right}, key=branch_order)
-            return ("branch", "or", x, [("add", x, [d]) for d in alts])
+            deps = node.deps.get(c, 0)
+            return ("branch", "or", x, [("add", x, [d], deps) for d in alts])
     return None
 
 
 def _forall_rule(g: CompletionGraph, x: NodeId):
     """The value rule, then the forall-plus rule, per value restriction."""
-    for c in g.nodes[x].sorted_label():
+    node = g.nodes[x]
+    for c in node.sorted_label():
         if isinstance(c, ForAll):
             for y in g.forall_targets(x, c.prop):
-                if c.filler not in g.nodes[y].label:
-                    return ("add", y, [c.filler])
+                target = g.nodes[y]
+                if c.filler not in target.label:
+                    return ("add", y, [c.filler], node.deps.get(c, 0)
+                            | node.cdeps | target.cdeps)
             for r in g.kb.transitive_subroles(c.prop):
                 d = ForAll(r, c.filler)
                 for y in g.successors(x, r):
-                    if d not in g.nodes[y].label:
-                        return ("add", y, [d])
+                    target = g.nodes[y]
+                    if d not in target.label:
+                        return ("add", y, [d], node.deps.get(c, 0)
+                                | node.cdeps | target.cdeps)
     return None
 
 
 def _exists_rule(g: CompletionGraph, x: NodeId):
-    for c in g.nodes[x].sorted_label():
+    node = g.nodes[x]
+    for c in node.sorted_label():
         if isinstance(c, Exists) and not _witnesses(g, x, c):
-            return ("generate", x, c.prop, [c.filler], False)
+            return ("generate", x, c.prop, [c.filler], False,
+                    node.deps.get(c, 0))
     return None
 
 
 def _atleast_rule(g: CompletionGraph, x: NodeId):
-    for c in g.nodes[x].sorted_label():
+    node = g.nodes[x]
+    for c in node.sorted_label():
         if isinstance(c, AtLeast) and not _has_distinct(
                 g, _witnesses(g, x, c), c.n):
-            return ("generate", x, c.prop, [c.filler] * c.n, True)
+            return ("generate", x, c.prop, [c.filler] * c.n, True,
+                    node.deps.get(c, 0))
     return None
 
 
@@ -655,12 +735,16 @@ def _has_distinct(g: CompletionGraph, nodes: list[NodeId], k: int) -> bool:
 
 
 def _choose_rule(g: CompletionGraph, x: NodeId):
-    for c in g.nodes[x].sorted_label():
+    node = g.nodes[x]
+    for c in node.sorted_label():
         if isinstance(c, (AtLeast, AtMost)):
             for y in g.successors(x, c.prop):
-                if not {c.filler, neg(c.filler)} & g.nodes[y].label:
+                target = g.nodes[y]
+                if not {c.filler, neg(c.filler)} & target.label:
                     alts = sorted({c.filler, neg(c.filler)}, key=branch_order)
-                    return ("branch", "choose", y, [("add", y, [d]) for d in alts])
+                    deps = node.deps.get(c, 0) | node.cdeps | target.cdeps
+                    return ("branch", "choose", y,
+                            [("add", y, [d], deps) for d in alts])
     return None
 
 
@@ -692,11 +776,20 @@ def _mergeable_away(g: CompletionGraph, y: NodeId) -> bool:
 
 
 def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
+    """Fold gone into keep.  What the merge moves, and the creation sets of
+    keep and of gone's neighbours, depend on every open branch point."""
+    deps = g.open_deps()
     gnode = g.nodes[gone]
-    klabel = g.nodes[keep].label
+    knode = g.nodes[keep]
+    klabel = knode.label
     for c in gnode.label - klabel:
         klabel.add(c)
-        g._trail.append((set.discard, klabel, c))
+        knode.deps[c] = deps
+        g._trail += ((set.discard, klabel, c), (dict.__delitem__, knode.deps, c))
+    for y in {keep, *g.out_e[gone], *g.in_e[gone]} - {gone}:
+        n = g.nodes[y]
+        g._trail.append((_set_attrs, n, (("cdeps", n.cdeps),)))
+        n.cdeps |= deps
     for z in list(gnode.distinct):
         g._discard(g.nodes[z].distinct, gone)
         g.set_distinct(z, keep)
@@ -782,24 +875,28 @@ def _find_action(g: CompletionGraph, keyed: list):
     ck = g.kb.internalization(g.unit)
     for x, b, _ in keyed:
         if not b and ck not in g.nodes[x].label:  # one lookup: no memo
-            return ("add", x, [ck])
+            return ("add", x, [ck], 0)
     local, generate, branch = g._rule_memo
     return (_scan(g, keyed, local, _local_phase)
             or _scan(g, keyed, generate, _generate_phase)
             or _scan(g, keyed, branch, _branch_phase))
 
 
-def _apply_action(g: CompletionGraph, action) -> None:
+def _apply_action(g: CompletionGraph, action, bit: int = 0) -> None:
+    """Apply one action; bit is the set of the branch point whose
+    alternative it is, if any."""
     kind = action[0]
     if kind == "add":
-        for c in action[2]:
-            g.add_label(action[1], c)
+        _, x, concepts, deps = action
+        for c in concepts:
+            g.add_label(x, c, deps | bit)
     elif kind == "generate":
-        _, x, prop, fillers, distinct = action
+        _, x, prop, fillers, distinct, deps = action
         created = []
         for filler in fillers:
             node = g.new_node(("generated", x), parent=x)
-            g.add_label(node.id, filler)
+            node.cdeps = deps
+            g.add_label(node.id, filler, deps)
             g.add_edge(x, node.id, prop)
             created.append(node.id)
         if distinct:
@@ -809,40 +906,53 @@ def _apply_action(g: CompletionGraph, action) -> None:
         _merge(g, action[1], action[2])
     elif kind == "branch":
         _, rule, x, alternatives = action
-        bp = BranchPoint(rule, x, list(alternatives), g.snapshot())
-        g.branch_stack.append(bp)
-        _take_branch(g, bp.alternatives.pop(0))
+        g.branch_stack.append(
+            BranchPoint(rule, x, list(alternatives), g.snapshot()))
+        _take_branch(g, len(g.branch_stack) - 1)
     else:
         raise AssertionError(f"unknown action {kind}")
 
 
-def _take_branch(g: CompletionGraph, alternative: tuple) -> None:
+def _take_branch(g: CompletionGraph, k: int) -> None:
+    """Apply the next alternative of the branch point at depth k."""
     g.branch_count += 1
     if g.branch_count > MAX_BRANCHES:
         raise BudgetExceeded(f"more than {MAX_BRANCHES} branches")
-    _apply_action(g, alternative)
+    _apply_action(g, g.branch_stack[k].alternatives.pop(0), 1 << k)
 
 
-def _backtrack(g: CompletionGraph) -> bool:
-    while g.branch_stack:
-        bp = g.branch_stack[-1]
+def _backtrack(g: CompletionGraph, deps: int) -> bool:
+    """Jump to the newest branch point in deps, a clash's set, and take its
+    next alternative; True if one was taken.  A branch point with none left
+    passes its failures, less itself, on down; an empty set closes every
+    branch and returns False."""
+    stack = g.branch_stack
+    while deps:
+        k = deps.bit_length() - 1
+        del stack[k + 1:]
+        bp = stack[k]
+        bp.failed |= deps
         if bp.alternatives:
             g.restore(bp.snapshot)
-            _take_branch(g, bp.alternatives.pop(0))
+            _take_branch(g, k)
             return True
-        g.branch_stack.pop()
+        stack.pop()
+        deps = bp.failed & ~(1 << k)
+    stack.clear()
     return False
 
 
 def expand_local(g: CompletionGraph) -> bool:
-    """Apply rules to fixpoint with chronological backtracking.  True when
-    a clash-free, locally complete state is reached; False when every
+    """Apply rules to fixpoint with dependency-directed backjumping.  True
+    when a clash-free, locally complete state is reached; False when every
     branch closes.
 
-    A branch point takes the trail mark before its first alternative; a
-    clash undoes the trail back to the mark of the newest branch point
-    with alternatives left and applies the next one, so a backtrack costs
-    the changes made since that mark, not the size of the graph.
+    A branch point takes the trail mark before its first alternative.  A
+    clash jumps to the newest branch point in its dependency set that has
+    alternatives left, skipping the newer ones it does not depend on (see
+    the module docstring); one restore undoes the trail back to that
+    point's mark, and the next alternative applies, so a jump costs the
+    changes made since that mark, not the size of the graph.
 
     Each step is one sweep over the nodes, which checks them for a clash,
     and then, if none clashes, a search for the first action.  Both find
@@ -856,7 +966,7 @@ def expand_local(g: CompletionGraph) -> bool:
     while True:
         clash, keyed = _sweep(g, clash_memo)
         if clash is not None:
-            if not _backtrack(g):
+            if not _backtrack(g, clash.deps):
                 return False
             continue
         action = _find_action(g, keyed)
@@ -913,24 +1023,45 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None,
     outcomes aligned with it, applied in place: each but SKIPPED marks its
     fragment sent, additions join the node's label when reverse_updates is
     on, and the first clash puts Bottom there and ends the round, which
-    sends the engine back into chronological backtracking."""
+    sends the engine back into backjumping.
+
+    A clash confirmed for the item alone depends on the item's fragment; a
+    JOINT clash, on every open branch point.  Additions depend on the
+    fragments and nodes of every obligation toward the same unit, since
+    the package that answered them carried them all."""
     while True:
         if not expand_local(g):
             return Outcome.UNSATISFIABLE
         obligations = collect_obligations(g)
         if not obligations or projection_hook is None:
             return Outcome.COMPLETE
+        package: dict[UnitId, int] = {}
+        for ob in obligations:
+            package[ob.dest_unit] = (package.get(ob.dest_unit, 0)
+                                     | _fragment_deps(g, ob)
+                                     | g.nodes[ob.node].cdeps)
         for ob, (verdict, payload) in zip(obligations,
                                           projection_hook(obligations)):
             if verdict == SKIPPED:
                 continue
             mark_sent(g, ob)
             if verdict == CLASH:
-                g.add_label(ob.node, Bottom(g.unit))
+                g.add_label(ob.node, Bottom(g.unit),
+                            g.open_deps() if payload == JOINT
+                            else _fragment_deps(g, ob))
                 break
             if reverse_updates:
                 for c in payload:
-                    g.add_label(ob.node, c)
+                    g.add_label(ob.node, c, package[ob.dest_unit])
+
+
+def _fragment_deps(g: CompletionGraph, ob: Obligation) -> int:
+    """The union of the sets of the obligation's fragment members."""
+    deps = g.nodes[ob.node].deps
+    out = 0
+    for c in ob.fragment:
+        out |= deps.get(c, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

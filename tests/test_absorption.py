@@ -8,18 +8,15 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontomesh.model import (
-    Atom, DistributedKB, Exists, ForAll, Not, Property, Top, UnitKB,
-    make_and, make_or, nnf,
-)
+from ontomesh.model import Atom, DistributedKB, Top, UnitKB, make_and, nnf
 from ontomesh.oracle import oracle_satisfiable
-from ontomesh.peer import LoopbackSession, PeerConfig
-from ontomesh.protocol import ProtocolError
+from ontomesh.peer import LoopbackSession
 
 from figures import (
     articles_linked_kb, articles_overlap_kb, conference_square_kb,
     conference_triangle_kb,
 )
+from strategies import ATOMS, NAMES, concepts, verdict
 
 
 def unabsorbed(kb: DistributedKB) -> DistributedKB:
@@ -52,46 +49,21 @@ def test_classify_same_with_and_without_absorption(make_kb):
 
 # -- differential: random single-unit TBoxes -------------------------------------
 
-_NAMES = ("A", "B", "C")
-_R = Property("r", "u1", "u1")
-_ATOMS = st.sampled_from([Atom("u1", n) for n in _NAMES])
-
-
-def _concepts(depth):
-    literals = st.one_of(_ATOMS, st.builds(Not, _ATOMS))
-    if depth == 0:
-        return literals
-    sub = _concepts(depth - 1)
-    return st.one_of(
-        literals,
-        st.builds(lambda l, r: make_and([l, r], "u1"), sub, sub),
-        st.builds(lambda l, r: make_or([l, r], "u1"), sub, sub),
-        st.builds(lambda f: Exists(_R, f), sub),
-        st.builds(lambda f: ForAll(_R, f), sub),
-    )
-
-
-# at most three GCIs over three atoms.  Even so, about 6 in 1000 random
-# draws run past 5 s in either form, because chronological backtracking
-# walks every choice (see CHANGES.md), so the examples are derandomized
-_GCIS = st.lists(st.tuples(st.one_of(_ATOMS, _concepts(1)), _concepts(2)),
+# at most three GCIs over three atoms.  Even so, a few random draws in a
+# thousand run for minutes in either form: backjumping skips the choices a
+# clash does not rest on, but some TBoxes still make every choice matter
+# (see CHANGES.md), so the examples are derandomized
+_GCIS = st.lists(st.tuples(st.one_of(ATOMS, concepts(1)), concepts(2)),
                  min_size=1, max_size=3)
 
 
-def _verdict(kb, goal) -> bool:
-    try:
-        return LoopbackSession(kb, PeerConfig(audit=True)).is_satisfiable(goal)
-    except ProtocolError:  # the unit itself is inconsistent
-        return False
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_GCIS, _concepts(1))
+@given(_GCIS, concepts(1))
 def test_absorption_differential(gcis, goal):
     """The tableau gives the same verdict with and without absorption, and a
     model within bound 2 makes it say satisfiable."""
     kb = DistributedKB.build({"u1": UnitKB(
-        unit="u1", concept_names=set(_NAMES), role_names={"r"}, gcis=gcis)})
-    sat = _verdict(kb, goal)
-    assert sat == _verdict(unabsorbed(kb), goal)
+        unit="u1", concept_names=set(NAMES), role_names={"r"}, gcis=gcis)})
+    sat = verdict(kb, goal)
+    assert sat == verdict(unabsorbed(kb), goal)
     assert sat or not oracle_satisfiable(kb, goal, domain_bound=2)

@@ -426,6 +426,26 @@ def test_reverse_cycle_satisfiable_with_reverse_updates():
     assert _session(_reverse_cycle_kb()).is_satisfiable(Atom("u1", "A"))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: an into rule's negated foreign source is projected as "
+    "an anonymous fragment, which asks for a correspondent; a correspondent "
+    "is optional, and a node without one satisfies every negated foreign "
+    "atom"))
+def test_negated_into_source_needs_no_correspondent():
+    # every u2 element is in Y, so the u2 side of u1's into rule holds
+    # only for a node with no correspondent, which the oracle allows
+    kb = load_kb(["(unit u1)\n(concept A)",
+                  "(unit u2)\n(concept X)\n(concept Y)\n"
+                  "(sub (or X (not X)) Y)"],
+                 [{"unit": "u1", "mappings": [{
+                     "source_unit": "u2", "bridge_rules": [
+                         {"kind": "into", "source": "u2:Y",
+                          "target": "u1:A"}]}]}])
+    goal = parse_concept("(not A)", "u1")
+    assert oracle_satisfiable(kb, goal, domain_bound=2) is True
+    assert _session(kb).is_satisfiable(goal)
+
+
 # -- re-entrant serving --------------------------------------------------------------
 
 def _reentrant_kb():

@@ -80,7 +80,7 @@ def _first_action(g):
 def test_ce_rule_adds_internalization_once():
     kb = conference_triangle_kb()
     g = init_graph(kb, "u3")
-    ce = ("add", 0, [kb.internalization("u3")])
+    ce = ("add", 0, [kb.internalization("u3")], 0)
     assert _first_action(g) == ce
     tableau._apply_action(g, ce)
     assert kb.internalization("u3") in g.nodes[0].label
@@ -90,7 +90,7 @@ def test_ce_rule_adds_internalization_once():
 def test_ce_rule_trivial_unit_adds_top():
     kb = _kb("(unit u1)")
     g = init_graph(kb, "u1")
-    assert _first_action(g) == ("add", 0, [Top("u1")])
+    assert _first_action(g) == ("add", 0, [Top("u1")], 0)
 
 
 # -- local satisfiability, single unit ----------------------------------------
@@ -645,7 +645,7 @@ def test_mark_sent_bumps_node_version():
 
 def _copied_state(g):
     """The graph state as the copying snapshot took it: every node cloned,
-    every edge set copied."""
+    with its dependency map and creation set, every edge set copied."""
     return ({i: n.clone() for i, n in g.nodes.items()},
             {i: {j: set(s) for j, s in d.items()} for i, d in g.out_e.items()},
             {i: {j: set(s) for j, s in d.items()} for i, d in g.in_e.items()},
@@ -666,20 +666,42 @@ def _assert_state(g, state):
             assert (now.target_individual, now.requester, now.sent_fragment) \
                 == (st.target_individual, st.requester, st.sent_fragment)
         assert n.ver == old.ver
+        assert n.deps == old.deps and n.cdeps == old.cdeps
     assert g.out_e == out_e and g.in_e == in_e
     assert all(s for d in g.out_e.values() for s in d.values())
     assert all(s for d in g.in_e.values() for s in d.values())
 
 
+def _assert_open_deps(g):
+    """Every dependency set names only open branch points, and a member's
+    set is stored only when it is non-zero.  True if any set is non-zero."""
+    open_deps = g.open_deps()
+    for n in g.nodes.values():
+        assert all(n.deps.values()), n.deps
+        assert not any(d & ~open_deps for d in n.deps.values()), n.deps
+        assert not n.cdeps & ~open_deps
+    return any(n.deps or n.cdeps for n in g.nodes.values())
+
+
 @pytest.fixture
 def checked_trail(monkeypatch):
     """Keep a copy of the graph state at every snapshot(), and check that
-    every restore() brings that state back exactly.  Counts restores, and
-    restores that brought back a node a merge had deleted."""
+    every restore() brings that state back exactly; at every step of
+    expand_local, check that each dependency set and each clash's set names
+    only open branch points.  Counts restores, restores that brought back
+    a node a merge had deleted, and steps."""
     steps = Counter()
     states = {}
     snapshot = tableau.CompletionGraph.snapshot
     restore = tableau.CompletionGraph.restore
+    sweep = tableau._sweep
+
+    def checked_sweep(g, clash_memo):
+        steps["tagged"] += _assert_open_deps(g)
+        clash, keyed = sweep(g, clash_memo)
+        assert clash is None or not clash.deps & ~g.open_deps()
+        steps["steps"] += 1
+        return clash, keyed
 
     def checked_snapshot(g):
         mark = snapshot(g)
@@ -695,6 +717,7 @@ def checked_trail(monkeypatch):
 
     monkeypatch.setattr(tableau.CompletionGraph, "snapshot", checked_snapshot)
     monkeypatch.setattr(tableau.CompletionGraph, "restore", checked_restore)
+    monkeypatch.setattr(tableau, "_sweep", checked_sweep)
     return steps
 
 
@@ -707,6 +730,7 @@ def test_trail_restores_copied_state_on_figures(make_kb, checked_trail):
     for unit in kb.unit_order:
         session.classify(unit)
     assert checked_trail["restores"] > 0
+    assert checked_trail["tagged"] > 0
 
 
 @pytest.mark.parametrize("bad", [None, 2])
@@ -739,6 +763,7 @@ def test_trail_undoes_a_merge(checked_trail):
                        "(and (some r A) (some r (not A)) (max 1 r top))")
     assert not ok
     assert checked_trail["merges_undone"] > 0
+    assert checked_trail["tagged"] > 0
 
 
 def test_clone_with_open_branch_points_raises():
