@@ -72,6 +72,15 @@ class _Tok:
     col: int
 
 
+class _Form(list):
+    """A parenthesized form: its items, at the position of its "("."""
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, tok: _Tok):
+        self.line, self.col = tok.line, tok.col
+
+
 def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
     toks = []
     i = 0
@@ -99,7 +108,7 @@ def _read_form(toks: list[_Tok], pos: int):
         raise ParseError("unexpected end of form")
     tok = toks[pos]
     if tok.text == "(":
-        items = []
+        items = _Form(tok)
         pos += 1
         while True:
             if pos >= len(toks):
@@ -179,7 +188,7 @@ class _UnitParser:
 
     def _statement(self, form):
         if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-            raise ParseError("expected a (...) form")
+            raise ParseError("expected a (...) form", form.line, form.col)
         head = _head(form)
         tok = form[0]
         if head == "sub":
@@ -230,7 +239,7 @@ class _UnitParser:
 
     def _local_role_name(self, tok) -> str:
         if not isinstance(tok, _Tok):
-            raise ParseError("expected a role name")
+            raise ParseError("expected a role name", tok.line, tok.col)
         unit, name = _qname(tok, self.kb.unit)
         if unit != self.kb.unit:
             raise ParseError(f"role {tok.text!r} must be local", tok.line, tok.col)
@@ -248,8 +257,11 @@ class _UnitParser:
         Whether a bare name is a role or a link is decided by the filler
         at the restriction site, so here we only handle the role cases."""
         if isinstance(form, list):
-            if _head(form) != "inv" or len(form) != 2:
-                raise ParseError("(inv ROLE)")
+            if _head(form) != "inv":
+                raise ParseError("expected a property name or (inv ROLE)",
+                                 form.line, form.col)
+            if len(form) != 2:
+                raise ParseError("(inv ROLE)", form.line, form.col)
             name = self._local_role_name(form[1])
             return Property(name, self.kb.unit, self.kb.unit, inverted=True)
         name = self._local_role_name(form)
@@ -276,7 +288,7 @@ class _UnitParser:
             unit, name = _qname(form, u)
             return Atom(unit, name)
         if not form or not isinstance(form[0], _Tok):
-            raise ParseError("bad concept expression")
+            raise ParseError("bad concept expression", form.line, form.col)
         head = _head(form)
         tok = form[0]
         if head == "not":
@@ -333,7 +345,8 @@ def parse_concept(text: str, unit: str) -> Concept:
         toks.extend(_tokenize_line(raw, ln))
     form, pos = _read_form(toks, 0)
     if pos != len(toks):
-        raise ParseError("trailing tokens after concept expression")
+        raise ParseError("trailing tokens after concept expression",
+                         toks[pos].line, toks[pos].col)
     parser = _UnitParser()
     parser.kb = UnitKB(unit=unit)
     return nnf(parser._concept(form))

@@ -301,34 +301,27 @@ class AtMost(Concept):
 
 def make_and(operands: list[Concept], unit: UnitId) -> Concept:
     """Canonical right-nested conjunction; flattens and sorts operands."""
-    flat: list[Concept] = []
-    for c in operands:
-        if isinstance(c, And):
-            flat.extend(_flatten(c, And))
-        else:
-            flat.append(c)
-    flat = sorted(set(flat), key=by_key)
-    if not flat:
-        return Top(unit)
-    out = flat[-1]
-    for c in reversed(flat[:-1]):
-        out = And(c, out, unit)
-    return out
+    return _nest(And, Top, operands, unit)
 
 
 def make_or(operands: list[Concept], unit: UnitId) -> Concept:
+    """Canonical right-nested disjunction; flattens and sorts operands."""
+    return _nest(Or, Bottom, operands, unit)
+
+
+def _nest(cls, empty, operands: list[Concept], unit: UnitId) -> Concept:
     flat: list[Concept] = []
     for c in operands:
-        if isinstance(c, Or):
-            flat.extend(_flatten(c, Or))
+        if isinstance(c, cls):
+            flat.extend(_flatten(c, cls))
         else:
             flat.append(c)
     flat = sorted(set(flat), key=by_key)
     if not flat:
-        return Bottom(unit)
+        return empty(unit)
     out = flat[-1]
     for c in reversed(flat[:-1]):
-        out = Or(c, out, unit)
+        out = cls(c, out, unit)
     return out
 
 

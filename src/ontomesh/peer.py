@@ -67,9 +67,7 @@ class PeerConfig:
 class Metrics:
     projections_triggered: int = 0
     packages_sent: int = 0
-    packages_received: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     branch_count: int = 0
 
 
@@ -177,7 +175,6 @@ class Peer:
             if cached is not None:
                 self.metrics.cache_hits += 1
                 return cached
-            self.metrics.cache_misses += 1
         self.metrics.packages_sent += 1
         outcomes, final = self.router.dispatch(pkg)
         if self.config.use_cache and final:
@@ -194,7 +191,6 @@ class Peer:
         and BudgetExceeded when the serve's copy runs out."""
         if self.phase != READY:
             raise PhaseError(f"peer {self.unit} cannot serve in phase {self.phase}")
-        self.metrics.packages_received += 1
         key = (pkg.frm, pkg.content_bytes())
         with self._lock:
             if self._serve_depth >= SERVE_DEPTH_LIMIT:

@@ -233,10 +233,10 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     opens a new node labelled with the fragment.  The copy is expanded to
     completion with clash_oracle as its early-clash check; downstream
     obligations leave through the hook.  Per item the outcome is a clash or
-    the foreign literals to add back at the requester, those the copy
-    holds without a choice, and the copy is discarded afterwards.  A copy
-    that runs out of budget raises BudgetExceeded: a serve never answers
-    an open question.
+    the foreign literals to add back at the requester: those of the served
+    node whose dependency set is empty, so that they rest on no choice of
+    the copy.  The copy is discarded afterwards.  A copy that runs out of
+    budget raises BudgetExceeded: a serve never answers an open question.
 
     When the joint expansion closes every branch and the package has
     several items, items are retried individually so the requester can
@@ -289,16 +289,14 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
     result = expand_to_completion(copy, downstream_hook, reverse_updates)
     if result is Outcome.UNSATISFIABLE:
         return None
-    # a literal added after the first open branch point may rest on a
-    # choice, which the requester would take as a fact: keep it back
-    first = copy.branch_stack[0].snapshot if copy.branch_stack else None
+    # a literal with a non-empty dependency set rests on a choice, which
+    # the requester would take as a fact: keep it back
     outcomes = []
     for item, node_id in zip(items, placed):
-        literals = response_literals(copy, node_id, item.fragment)
-        if first is not None:
-            chosen = copy.added_since(node_id, first)
-            literals = tuple(c for c in literals if c not in chosen)
-        outcomes.append((ADDITIONS, literals))
+        deps = copy.nodes[node_id].deps
+        outcomes.append((ADDITIONS, tuple(
+            c for c in response_literals(copy, node_id, item.fragment)
+            if not deps.get(c, 0))))
     return tuple(outcomes)
 
 

@@ -15,8 +15,8 @@ the first action of the rules, in this order:
 - branch: or, choose, and at-most merges, each a branch point.
 An action is ("add", x, [concepts], deps) for a label addition,
 ("generate", x, property, fillers, distinct, deps), ("merge", keep, gone),
-or ("branch", rule, x, alternatives), whose alternatives are "add" or
-"merge" actions.
+or ("branch", alternatives), whose alternatives are "add" or "merge"
+actions.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, JLC 1999;
 Baader & Sattler, Studia Logica 2001).  A dependency set is an int bitmask
@@ -219,8 +219,6 @@ class Obligation:
 
 @dataclass
 class BranchPoint:
-    kind: str
-    node: NodeId
     alternatives: list  # remaining actions, canonical order
     snapshot: int  # trail mark
     failed: int = 0  # union of the clash sets of its failed alternatives
@@ -258,8 +256,6 @@ class CompletionGraph:
         # Used by the peer layer to fail branches whose projection is
         # already known to clash, before completing them.
         self.clash_oracle = None
-        self._rev = 0
-        self._block_cache: dict[NodeId, tuple[int, Blocked]] = {}
         self._trail: list[tuple] = []
         # node versions; see the module docstring
         self._clock = itertools.count(1)
@@ -282,7 +278,6 @@ class CompletionGraph:
         self._trail += ((None, "next_id", x), (dict.__delitem__, self.nodes, x),
                         (dict.__delitem__, self.out_e, x),
                         (dict.__delitem__, self.in_e, x))
-        self._rev += 1
         return node
 
     def add_label(self, node: NodeId, c: Concept, deps: int = 0) -> bool:
@@ -297,7 +292,6 @@ class CompletionGraph:
         if deps:
             n.deps[c] = deps
             self._trail.append((dict.__delitem__, n.deps, c))
-        self._rev += 1
         self._bump_around(node)
         return True
 
@@ -321,7 +315,6 @@ class CompletionGraph:
             trail.append((dict.__delitem__, inc, a))
         labels.add(prop)
         trail.append((set.discard, labels, prop))
-        self._rev += 1
         na, nb = self.nodes[a], self.nodes[b]
         trail += ((_set_ver, na, na.ver), (_set_ver, nb, nb.ver))
         na.ver = nb.ver = next(self._clock)
@@ -334,7 +327,6 @@ class CompletionGraph:
                 if y not in distinct:
                     distinct.add(y)
                     self._trail.append((set.discard, distinct, y))
-            self._rev += 1
             self._bump_around(a, b)
 
     def set_corr(self, node: NodeId, unit: UnitId, **fields) -> None:
@@ -408,15 +400,6 @@ class CompletionGraph:
                 setattr(self, a, b)
             else:
                 fn(a, b)
-        self._rev += 1
-        self._block_cache.clear()
-
-    def added_since(self, node: NodeId, mark: int) -> set[Concept]:
-        """Members of the node's label added after snapshot() returned
-        mark; members from before the mark or the clone are not."""
-        label = self.nodes[node].label
-        return {c for fn, a, c in self._trail[mark:]
-                if a is label and fn is set.discard}
 
     def clone(self) -> "CompletionGraph":
         """An independent copy with an empty trail; only a graph without
@@ -436,17 +419,10 @@ class CompletionGraph:
 
     # -- label parts ------------------------------------------------------------
 
-    def parts(self, node: NodeId) -> dict[UnitId, set[Concept]]:
-        out: dict[UnitId, set[Concept]] = {}
-        for c in self.nodes[node].label:
-            out.setdefault(c.home, set()).add(c)
-        return out
-
-    def foreign_part(self, node: NodeId) -> set[Concept]:
-        return {c for c in self.nodes[node].label if c.home != self.unit}
-
     def fragment(self, node: NodeId) -> tuple[Concept, ...]:
-        return tuple(sorted(self.foreign_part(node), key=by_key))
+        """The foreign members of the node's label, in key order."""
+        return tuple(sorted((c for c in self.nodes[node].label
+                             if c.home != self.unit), key=by_key))
 
     # -- successor machinery ------------------------------------------------------
 
@@ -481,15 +457,6 @@ class CompletionGraph:
         node = self.nodes[x]
         if node.parent is None and node.origin[0] != "projected":
             return UNBLOCKED  # roots, individuals and placeholders never block
-        cached = self._block_cache.get(x)
-        if cached and cached[0] == self._rev:
-            return cached[1]
-        status = self._blocked_uncached(x)
-        self._block_cache[x] = (self._rev, status)
-        return status
-
-    def _blocked_uncached(self, x: NodeId) -> Blocked:
-        node = self.nodes[x]
         anc = node.parent
         while anc is not None:
             if self._directly_blocked(anc):
@@ -526,10 +493,11 @@ class CompletionGraph:
 
     # -- clash detection ---------------------------------------------------------
 
-    def detect_clash(self, x: NodeId) -> ClashInfo | None:
-        """A clash at x, if any.  Of several Bottom and complement clashes
-        the one with the smallest set is taken, which jumps furthest and
-        does not depend on the label's iteration order."""
+    def detect_clash(self, x: NodeId, b: Blocked) -> ClashInfo | None:
+        """A clash at x, whose blocked status is b, if any.  Of several
+        Bottom and complement clashes the one with the smallest set is
+        taken, which jumps furthest and does not depend on the label's
+        iteration order."""
         node = self.nodes[x]
         label, deps = node.label, node.deps
         found = None
@@ -548,7 +516,7 @@ class CompletionGraph:
                     break
         if found is not None:
             return found
-        if self.clash_oracle is not None and not self.blocked(x):
+        if self.clash_oracle is not None and not b:
             reason = self.clash_oracle(self, x)
             if reason:
                 d = 0
@@ -566,7 +534,7 @@ class CompletionGraph:
 
     def first_clash(self) -> ClashInfo | None:
         for x in sorted(self.nodes):
-            info = self.detect_clash(x)
+            info = self.detect_clash(x, self.blocked(x))
             if info:
                 return info
         return None
@@ -677,7 +645,7 @@ def _or_rule(g: CompletionGraph, x: NodeId):
         if isinstance(c, Or) and not {c.left, c.right} & node.label:
             alts = sorted({c.left, c.right}, key=branch_order)
             deps = node.deps.get(c, 0)
-            return ("branch", "or", x, [("add", x, [d], deps) for d in alts])
+            return ("branch", [("add", x, [d], deps) for d in alts])
     return None
 
 
@@ -743,8 +711,7 @@ def _choose_rule(g: CompletionGraph, x: NodeId):
                 if not {c.filler, neg(c.filler)} & target.label:
                     alts = sorted({c.filler, neg(c.filler)}, key=branch_order)
                     deps = node.deps.get(c, 0) | node.cdeps | target.cdeps
-                    return ("branch", "choose", y,
-                            [("add", y, [d], deps) for d in alts])
+                    return ("branch", [("add", y, [d], deps) for d in alts])
     return None
 
 
@@ -763,8 +730,7 @@ def _atmost_rule(g: CompletionGraph, x: NodeId):
                 pairs.append((keep, gone))
             pairs.sort(key=lambda p: (-p[1], p[0]))
             if pairs:
-                return ("branch", "merge", x,
-                        [("merge", k, m) for k, m in pairs])
+                return ("branch", [("merge", k, m) for k, m in pairs])
     return None
 
 
@@ -810,7 +776,6 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
         g._pop(g.out_e[y], gone)
     for d in (g.out_e, g.in_e, g.nodes):
         g._pop(d, gone)
-    g._rev += 1
     g._bump_all()
 
 
@@ -861,7 +826,7 @@ def _sweep(g: CompletionGraph, clash_memo: set):
         b = g.blocked(x)
         key = (x, nodes[x].ver, b.kind)
         if key not in clash_memo:
-            clash = g.detect_clash(x)
+            clash = g.detect_clash(x, b)
             if clash is not None:
                 return clash, keyed
             clash_memo.add(key)
@@ -905,9 +870,7 @@ def _apply_action(g: CompletionGraph, action, bit: int = 0) -> None:
     elif kind == "merge":
         _merge(g, action[1], action[2])
     elif kind == "branch":
-        _, rule, x, alternatives = action
-        g.branch_stack.append(
-            BranchPoint(rule, x, list(alternatives), g.snapshot()))
+        g.branch_stack.append(BranchPoint(list(action[1]), g.snapshot()))
         _take_branch(g, len(g.branch_stack) - 1)
     else:
         raise AssertionError(f"unknown action {kind}")
@@ -988,16 +951,15 @@ def collect_obligations(g: CompletionGraph) -> list[Obligation]:
         fragment = g.fragment(x)
         if not fragment:
             continue
-        parts = g.parts(x)
-        dests = {c.home for c in fragment}
-        dests.update(u for u, st in node.corr.items()
-                     if st.target_individual is not None)
+        homes = {c.home for c in fragment}
+        dests = homes | {u for u, st in node.corr.items()
+                         if st.target_individual is not None}
         for j in sorted(dests):
             if j == g.unit:
                 continue
             st = node.corr.get(j)
             named = st is not None and st.target_individual is not None
-            if not named and not parts.get(j):
+            if not named and j not in homes:
                 continue
             if st is not None and st.requester is not None:
                 continue  # this node mirrors a remote node of unit j already
@@ -1144,10 +1106,7 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
         fragment = g.fragment(x)
         if not fragment:
             continue
-        parts = g.parts(x)
         for j in sorted({c.home for c in fragment}):
-            if j == g.unit or not parts.get(j):
-                continue
             st = node.corr.get(j)
             if st is None:
                 complain("11", f"node {x}: no correspondence toward {j}")

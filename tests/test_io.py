@@ -71,6 +71,27 @@ def test_parse_errors_carry_position():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("(sub A (some (inv) A))", "(inv ROLE)"),
+    ("(sub A (some (r) A))", "expected a property name or (inv ROLE)"),
+    ("(sub A ())", "bad concept expression"),
+    ("foo", "expected a (...) form"),
+    ("(subrole (r) r)", "expected a role name"),
+], ids=["inv-without-role", "role-in-parens", "empty-concept", "bare-name",
+        "form-as-role-name"])
+def test_malformed_forms_carry_position(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_unit(f"(unit u1)\n(concept A) (role r)\n{line}\n")
+    assert err.value.line == 3 and err.value.col > 0
+    assert str(err.value).endswith(message)
+
+
+def test_trailing_concept_tokens_carry_position():
+    with pytest.raises(ParseError) as err:
+        parse_concept("(not A) B", "u1")
+    assert (err.value.line, err.value.col) == (1, 9)
+
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(ParseError):
         parse_unit("(unit u1)\n(concept A)\n(concept A)")

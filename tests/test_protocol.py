@@ -7,8 +7,10 @@ from ontomesh.io import load_kb
 from ontomesh.model import (
     And, Atom, AtLeast, AtMost, Bottom, Exists, ForAll, Not, Or, Property, Top,
 )
-from ontomesh.protocol import CacheOverflow, ProjectionCache, ProjectionPackage
-from ontomesh.tableau import Obligation, init_graph
+from ontomesh.protocol import (
+    CacheOverflow, ProjectionCache, ProjectionPackage, serve_package,
+)
+from ontomesh.tableau import ADDITIONS, Obligation, init_graph
 
 
 B, D = Atom("u2", "B"), Atom("u2", "D")
@@ -110,3 +112,33 @@ def test_store_raises_cache_overflow_past_the_byte_budget(monkeypatch):
     with pytest.raises(CacheOverflow):
         cache.store("u3", pkg, answer)
     assert cache.lookup("u3", pkg) is None
+
+
+# -- serving -----------------------------------------------------------------------
+
+def test_serve_ships_forced_literals_derived_after_a_choice():
+    """The u2 copy branches on its GCI's disjunction at every node before
+    u3 answers the first item's u3:Q with u2:R, whose unfolding forces u1:Z
+    at that item's node.  Z rests on no choice and goes back to u1.  The
+    second item's node chooses u1:V of (or u1:V u1:W), which is held back."""
+    kb = load_kb(["(unit u1)\n(concept V)\n(concept W)\n(concept Z)",
+                  "\n".join(["(unit u2)", "(concept D)", "(concept E)",
+                             "(concept F)", "(concept P)", "(concept R)",
+                             "(concept S)", "(sub (and D E) F)",
+                             "(sub P u3:Q)", "(sub R u1:Z)",
+                             "(sub S (or u1:V u1:W))"]),
+                  "(unit u3)\n(concept Q)"])
+    P, S = Atom("u2", "P"), Atom("u2", "S")
+    pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", origin="u1",
+                            items=(Obligation(0, "u2", (P,), None),
+                                   Obligation(1, "u2", (S,), None)))
+    asked = []
+
+    def u3_answers_r(obligations):
+        asked.extend(ob.dest_unit for ob in obligations)
+        return [(ADDITIONS, (Atom("u2", "R"),)) for _ in obligations]
+
+    outcomes = serve_package(pkg, init_graph(kb, "u2"), u3_answers_r)
+    assert asked and set(asked) == {"u3"}
+    assert outcomes == ((ADDITIONS, (Atom("u1", "Z"), Atom("u3", "Q"))),
+                        (ADDITIONS, ()))
