@@ -104,8 +104,6 @@ def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
 
 
 def _read_form(toks: list[_Tok], pos: int):
-    if pos >= len(toks):
-        raise ParseError("unexpected end of form")
     tok = toks[pos]
     if tok.text == "(":
         items = _Form(tok)
@@ -152,7 +150,10 @@ class _UnitParser:
         unit_forms = [f for f in forms
                       if isinstance(f, list) and f and _head(f) == "unit"]
         if len(unit_forms) != 1:
-            raise ParseError("a unit document needs exactly one (unit NAME) form")
+            # at the second (unit form, else at the first form, else at 1:1
+            at = (unit_forms[1:] or forms or [_Tok("", 1, 1)])[0]
+            raise ParseError("a unit document needs exactly one (unit NAME) form",
+                             at.line, at.col)
         unit_name = self._name_arg(unit_forms[0], "unit")
         self.kb = UnitKB(unit=unit_name)
         # declarations first so axioms can reference them in any line order
@@ -343,6 +344,8 @@ def parse_concept(text: str, unit: str) -> Concept:
     toks = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         toks.extend(_tokenize_line(raw, ln))
+    if not toks:
+        raise ParseError("empty concept expression", 1, 1)
     form, pos = _read_form(toks, 0)
     if pos != len(toks):
         raise ParseError("trailing tokens after concept expression",

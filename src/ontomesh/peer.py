@@ -6,7 +6,8 @@ peers freeze their ABox skeleton and join the communication phase, while
 inconsistent ones declare a hole and drop out.  Reasoning tasks run a goal
 graph at the goal's home peer; projection packages flow between peers
 through a router, are answered against working copies, and are cached by
-the sender.
+the sender.  The skeleton is closed under the deterministic rules the first
+time a task or serve needs it, so no copy repeats that work.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .tableau import (
     Obligation,
     Outcome,
     audit_complete_graph,
+    close_deterministic,
     expand_to_completion,
     init_graph,
 )
@@ -95,6 +97,7 @@ class Peer:
         self.phase: str | None = None        # READY or HOLED once initialized
         self.holes: set[str] = set()
         self.skeleton = None                 # hole-adjusted, frozen at init
+        self._skeleton_closed = False
         self.metrics = Metrics()
         self.cache = ProjectionCache()
         self.router = None                   # injected by the session
@@ -135,6 +138,17 @@ class Peer:
         except BudgetExceeded as e:
             raise InconclusiveError(
                 f"peer {self.unit} failed to build its skeleton: {e}") from e
+        self._skeleton_closed = False
+
+    def closed_skeleton(self):
+        """The skeleton that working copies start from, closed under the
+        deterministic rules on first use, not in adopt_holes, so that setup
+        does not pay for it."""
+        with self._lock:
+            if not self._skeleton_closed:
+                close_deterministic(self.skeleton)
+                self._skeleton_closed = True
+            return self.skeleton
 
     # -- outbound projections ----------------------------------------------------
 
@@ -202,7 +216,7 @@ class Peer:
             self._serve_depth += 1
         hook = self.projection_hook(pkg.origin)
         try:
-            outcomes = serve_package(pkg, self.skeleton, hook,
+            outcomes = serve_package(pkg, self.closed_skeleton(), hook,
                                      reverse_updates=self.config.reverse_updates,
                                      clash_oracle=self.doom_oracle)
         finally:
@@ -289,7 +303,7 @@ class LoopbackSession:
         given, with the projection machinery live; audit a complete goal
         graph when the config asks.  A budget that runs out here or in a
         serve it causes raises InconclusiveError."""
-        graph = peer.skeleton.clone()
+        graph = peer.closed_skeleton().clone()
         graph.clash_oracle = peer.doom_oracle
         if goal is not None:
             graph.add_label(0, goal)

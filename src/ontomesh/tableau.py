@@ -74,7 +74,19 @@ the trail puts old versions back, so a (node, version) pair always names
 one state of the node's one-hop neighbourhood, which is all that any rule
 reads.  The engine remembers the (node, version, blocked kind) keys at
 which a rule phase or the clash check found nothing and skips them, which
-keeps the firing order of a full rescan.
+keeps the firing order of a full rescan.  A clone starts with its source's
+rule memos: clones share the clock, so a key names the same state in both.
+
+A skeleton is closed once (close_deterministic): the ce rule and the local
+phase run at every node until nothing changes, with no clash check,
+generation or branching.  Its copies then fire the same rules as copies of
+the bare skeleton: skeleton nodes never block, so their ce/local closure is
+unique; the engine reaches it on every copy before its first generate or
+branch action; and a clash found before the first branch point has an empty
+set, so it means UNSAT either way.  One difference remains: a projected
+node whose fragment an earlier node's closed label covers is blocked from
+the start, so it never receives the internalization, an And, Or or Top of
+the unit and never a response literal.
 """
 
 from __future__ import annotations
@@ -414,6 +426,7 @@ class CompletionGraph:
                   for i, d in self.in_e.items()}
         g.next_id = self.next_id
         g._clock = self._clock
+        g._rule_memo = tuple(set(m) for m in self._rule_memo)
         g.branch_count = self.branch_count
         return g
 
@@ -845,6 +858,26 @@ def _find_action(g: CompletionGraph, keyed: list):
     return (_scan(g, keyed, local, _local_phase)
             or _scan(g, keyed, generate, _generate_phase)
             or _scan(g, keyed, branch, _branch_phase))
+
+
+def close_deterministic(g: CompletionGraph) -> None:
+    """Apply the ce rule and then the local phase until nothing changes,
+    with no clash check, generation or branching, and drop the trail.  The
+    local phase's memo keeps the keys where it found nothing, so a clone
+    starts past them.  Meant for a skeleton, whose nodes never block: see
+    the module docstring for why its copies then fire the same rules."""
+    ck = g.kb.internalization(g.unit)
+    for x in sorted(g.nodes):
+        g.add_label(x, ck)
+    local = g._rule_memo[0]
+    while True:
+        keyed = [(x, UNBLOCKED, (x, n.ver, UNBLOCKED.kind))
+                 for x, n in sorted(g.nodes.items())]
+        action = _scan(g, keyed, local, _local_phase)
+        if action is None:
+            break
+        _apply_action(g, action)
+    g._trail.clear()
 
 
 def _apply_action(g: CompletionGraph, action, bit: int = 0) -> None:

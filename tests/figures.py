@@ -151,3 +151,48 @@ def conference_square_kb():
                   {"kind": "into", "source": "u4:Event",
                    "target": "u3:HumanActivity"}]}]}
     return load_kb([u1, u2, u3, u4], [c1, c2, c3])
+
+
+def transitive_abox_kb(bad: int | None, m: int = 4):
+    """a0..a{m-1} chained by the transitive role r, each in (or A B); u2:Y
+    maps into u1:A and every b{i} in u2:X, below Y, corresponds to a{i}.
+    So every a{i} is in A, and a{bad} in (not A) makes the KB
+    inconsistent."""
+    u1 = ["(unit u1)", "(concept A)", "(concept B)", "(role r)",
+          "(transitive r)"]
+    u1 += [f"(individual a{i})" for i in range(m)]
+    for i in range(m):
+        u1.append(f"(instance a{i} (or A B))")
+        if i + 1 < m:
+            u1.append(f"(related a{i} r a{i + 1})")
+    u1.append("(instance a0 (all r (or A B)))")
+    if bad is not None:
+        u1.append(f"(instance a{bad} (not A))")
+    u2 = ["(unit u2)", "(concept X)", "(concept Y)", "(sub X Y)"]
+    u2 += [f"(individual b{i})" for i in range(m)]
+    u2 += [f"(instance b{i} X)" for i in range(m)]
+    coupling = {"unit": "u1", "mappings": [{
+        "source_unit": "u2",
+        "bridge_rules": [{"kind": "into", "source": "u2:Y", "target": "u1:A"}],
+        "individual_correspondences": [
+            {"foreign": f"u2:b{i}", "local": f"u1:a{i}"} for i in range(m)]}]}
+    return load_kb(["\n".join(u1), "\n".join(u2)], [coupling])
+
+
+def chain_kb(n: int = 3, k: int = 3):
+    """n units of k concepts.  (sub C{j+1} C{j}) holds in u1 only, and unit
+    u{i} maps u{i-1}:Cj onto and into its own Cj, so C{a} is below C{b} in
+    every unit iff a > b, and an entailment at u{n} crosses n-1 peers."""
+    units, couplings = [], []
+    for i in range(1, n + 1):
+        lines = [f"(unit u{i})"] + [f"(concept C{j})" for j in range(1, k + 1)]
+        if i == 1:
+            lines += [f"(sub C{j + 1} C{j})" for j in range(1, k)]
+        units.append("\n".join(lines))
+        if i > 1:
+            couplings.append({"unit": f"u{i}", "mappings": [{
+                "source_unit": f"u{i - 1}", "bridge_rules": [
+                    {"kind": kind, "source": f"u{i - 1}:C{j}",
+                     "target": f"u{i}:C{j}"}
+                    for j in range(1, k + 1) for kind in ("onto", "into")]}]})
+    return load_kb(units, couplings)

@@ -92,6 +92,18 @@ def test_trailing_concept_tokens_carry_position():
     assert (err.value.line, err.value.col) == (1, 9)
 
 
+@pytest.mark.parametrize("parse, at", [
+    (lambda: parse_unit("; no forms\n"), (1, 1)),
+    (lambda: parse_unit("\n  (concept A)\n(role r)"), (2, 3)),
+    (lambda: parse_unit("(unit u1)\n(concept A)\n (unit u2)"), (3, 2)),
+    (lambda: parse_concept("", "u1"), (1, 1)),
+], ids=["no-forms", "no-unit-form", "second-unit-form", "empty-concept"])
+def test_document_errors_carry_position(parse, at):
+    with pytest.raises(ParseError) as err:
+        parse()
+    assert (err.value.line, err.value.col) == at
+
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(ParseError):
         parse_unit("(unit u1)\n(concept A)\n(concept A)")

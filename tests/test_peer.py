@@ -3,19 +3,19 @@ import weakref
 
 import pytest
 
-from ontomesh import peer, tableau
+from ontomesh import peer, protocol, tableau
 from ontomesh.io import load_kb, parse_concept
 from ontomesh.model import Atom, Not
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import (
     HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
 )
-from ontomesh.protocol import ProjectionCache, ProtocolError
+from ontomesh.protocol import ProjectionCache, ProjectionPackage, ProtocolError
 from ontomesh.tableau import ADDITIONS, CLASH, SKIPPED, Obligation
 
 from figures import (
-    articles_linked_kb, articles_overlap_kb, conference_square_kb,
-    conference_triangle_kb,
+    articles_linked_kb, articles_overlap_kb, chain_kb, conference_square_kb,
+    conference_triangle_kb, transitive_abox_kb,
 )
 
 
@@ -604,3 +604,77 @@ def test_dropped_session_is_freed_by_reference_counting(monkeypatch):
         assert [r() is None for r in refs] == [True, True, True]
     finally:
         gc.enable()
+
+
+# -- the closed skeleton -----------------------------------------------------------
+
+def _classify_every_unit(s):
+    return [s.classify(u) for u in s.kb.unit_order]
+
+
+def _chain_subsumptions(s):
+    return [s.is_subsumed(Atom("u3", f"C{a}"), Atom("u3", f"C{b}"))
+            for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+
+
+def _run_tasks(make_kb, tasks):
+    """Verdicts with the metrics after each task, the transcript, and
+    whether every skeleton ended up holding its unit's internalization."""
+    s = _session(make_kb())
+    results = [(verdict, s.metrics_snapshot()) for verdict in tasks(s)]
+    closed = all(s.kb.internalization(u) in p.skeleton.nodes[0].label
+                 for u, p in s.peers.items())
+    return results, s.log, closed
+
+
+@pytest.mark.parametrize("make_kb, tasks", [
+    (articles_linked_kb, _classify_every_unit),
+    (articles_overlap_kb, _classify_every_unit),
+    (conference_square_kb, _classify_every_unit),
+    (conference_triangle_kb, _classify_every_unit),
+    (lambda: transitive_abox_kb(None),
+     lambda s: [s.check_consistency()]),
+    (lambda: transitive_abox_kb(2), lambda s: [s.check_consistency()]),
+    (chain_kb, _chain_subsumptions),
+], ids=["linked", "overlap", "square", "triangle", "abox-consistent",
+        "abox-inconsistent", "chain"])
+def test_closed_skeleton_changes_no_verdict_metric_or_message(
+        make_kb, tasks, monkeypatch):
+    results, log, closed = _run_tasks(make_kb, tasks)
+    monkeypatch.setattr(peer, "close_deterministic", lambda g: None)
+    bare_results, bare_log, bare_closed = _run_tasks(make_kb, tasks)
+    assert closed and not bare_closed
+    assert results == bare_results
+    assert log == bare_log
+
+
+def test_fragment_covered_by_the_closed_skeleton_gets_the_same_answer(
+        monkeypatch):
+    """u2's b closes to (X, Y), so a served node holding u2:Y is blocked
+    from the start and never receives u2's internalization, which it does
+    receive on a bare copy before b's label grows.  The answers agree."""
+    kb = load_kb(["(unit u1)",
+                  "(unit u2)\n(concept X)\n(concept Y)\n(individual b)\n"
+                  "(instance b X)\n(sub X Y)"])
+    pkg = ProjectionPackage("u1-1", "u1", "u2", "u1", (
+        Obligation(0, "u2", (Atom("u2", "Y"),), None),))
+    copies = []
+    expand = protocol.expand_to_completion
+
+    def kept(g, *args, **kw):
+        copies.append(g)
+        return expand(g, *args, **kw)
+
+    def serve():
+        s = _session(kb)
+        s.initialize()
+        return s.peers["u2"].serve(pkg)
+
+    monkeypatch.setattr(protocol, "expand_to_completion", kept)
+    answer = serve()
+    monkeypatch.setattr(peer, "close_deterministic", lambda g: None)
+    assert serve() == answer
+    ck = kb.internalization("u2")
+    served = [g.nodes[2] for g in copies]
+    assert [g.blocked(2).kind for g in copies] == ["direct", "direct"]
+    assert [ck in n.label for n in served] == [False, True]

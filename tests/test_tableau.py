@@ -15,7 +15,7 @@ from ontomesh.tableau import (
 
 from figures import (
     articles_linked_kb, articles_overlap_kb, conference_square_kb,
-    conference_triangle_kb,
+    conference_triangle_kb, transitive_abox_kb,
 )
 
 
@@ -500,32 +500,6 @@ def checked_steps(monkeypatch):
     return steps
 
 
-def _transitive_abox_kb(bad: int | None, m: int = 4):
-    """a0..a{m-1} chained by the transitive role r, each in (or A B); u2:Y
-    maps into u1:A and every b{i} in u2:X, below Y, corresponds to a{i}.
-    So every a{i} is in A, and a{bad} in (not A) makes the KB
-    inconsistent."""
-    u1 = ["(unit u1)", "(concept A)", "(concept B)", "(role r)",
-          "(transitive r)"]
-    u1 += [f"(individual a{i})" for i in range(m)]
-    for i in range(m):
-        u1.append(f"(instance a{i} (or A B))")
-        if i + 1 < m:
-            u1.append(f"(related a{i} r a{i + 1})")
-    u1.append("(instance a0 (all r (or A B)))")
-    if bad is not None:
-        u1.append(f"(instance a{bad} (not A))")
-    u2 = ["(unit u2)", "(concept X)", "(concept Y)", "(sub X Y)"]
-    u2 += [f"(individual b{i})" for i in range(m)]
-    u2 += [f"(instance b{i} X)" for i in range(m)]
-    coupling = {"unit": "u1", "mappings": [{
-        "source_unit": "u2",
-        "bridge_rules": [{"kind": "into", "source": "u2:Y", "target": "u1:A"}],
-        "individual_correspondences": [
-            {"foreign": f"u2:b{i}", "local": f"u1:a{i}"} for i in range(m)]}]}
-    return _kb("\n".join(u1), "\n".join(u2), couplings=[coupling])
-
-
 @pytest.mark.parametrize("make_kb", [
     articles_linked_kb, articles_overlap_kb, conference_square_kb,
     conference_triangle_kb])
@@ -541,7 +515,7 @@ def test_memoized_steps_match_full_rescan_on_figures(make_kb, checked_steps):
 @pytest.mark.parametrize("bad", [None, 2])
 def test_memoized_steps_match_full_rescan_on_transitive_abox(bad,
                                                              checked_steps):
-    verdict, _ = LoopbackSession(_transitive_abox_kb(bad)).check_consistency()
+    verdict, _ = LoopbackSession(transitive_abox_kb(bad)).check_consistency()
     assert verdict == ("consistent" if bad is None else "inconsistent")
     assert checked_steps["clashes"] > 0
     assert checked_steps["memoized"] > 0
@@ -641,6 +615,63 @@ def test_mark_sent_bumps_node_version():
     assert g.nodes[ob.node].corr[ob.dest_unit].sent_fragment == ob.fragment
 
 
+def _bumped(g, mark) -> list[int]:
+    """The node of each version record on the trail since mark."""
+    return sorted(n.id for fn, n, _ in g._trail[mark:]
+                  if fn is tableau._set_ver)
+
+
+def test_each_mutation_bumps_each_node_it_touches_once():
+    kb = _kb("(unit u1)\n(concept A)\n(role r)\n(individual a)\n"
+             "(individual b)\n(individual c)\n(individual d)\n"
+             "(related a r b)\n(related c r a)")
+    g = init_graph(kb, "u1")
+    root, a, b, c, d = range(5)
+    assert not (g.out_e[root] or g.in_e[root] or g.out_e[d] or g.in_e[d])
+    mark = g.snapshot()
+    g.add_label(a, Atom("u1", "A"))
+    assert _bumped(g, mark) == [a, b, c]
+    mark = g.snapshot()
+    g.set_distinct(root, d)
+    assert _bumped(g, mark) == [root, d]
+    mark = g.snapshot()
+    g.add_edge(b, d, Property("r", "u1", "u1"))
+    assert _bumped(g, mark) == [b, d]
+    mark = g.snapshot()
+    g.set_corr(a, "u2", target_individual="x")
+    assert _bumped(g, mark) == [a, b, c]
+
+
+def test_clone_of_a_closed_skeleton_skips_its_local_phase(monkeypatch):
+    """The copy keeps the skeleton's rule memos, so a step runs the local
+    phase only at the nodes around a change."""
+    skeleton = init_graph(transitive_abox_kb(None), "u1")
+    tableau.close_deterministic(skeleton)
+    calls = []
+    local_phase = tableau._local_phase
+
+    def counted(g, x, b):
+        calls.append(x)
+        return local_phase(g, x, b)
+
+    monkeypatch.setattr(tableau, "_local_phase", counted)
+
+    def one_step(copy):
+        calls.clear()
+        clash, keyed = tableau._sweep(copy, set())
+        assert clash is None
+        assert tableau._find_action(copy, keyed)
+        return set(calls)
+
+    copy = skeleton.clone()
+    a1 = 2  # between a0 and a2
+    copy.add_label(a1, Atom("u1", "B"))
+    assert one_step(copy) == {a1 - 1, a1, a1 + 1}
+    copy = skeleton.clone()
+    copy._rule_memo = (set(), set(), set())
+    assert one_step(copy) == set(skeleton.nodes)
+
+
 # -- the trail -------------------------------------------------------------------
 
 def _copied_state(g):
@@ -735,7 +766,7 @@ def test_trail_restores_copied_state_on_figures(make_kb, checked_trail):
 
 @pytest.mark.parametrize("bad", [None, 2])
 def test_trail_restores_copied_state_on_transitive_abox(bad, checked_trail):
-    verdict, _ = LoopbackSession(_transitive_abox_kb(bad)).check_consistency()
+    verdict, _ = LoopbackSession(transitive_abox_kb(bad)).check_consistency()
     assert verdict == ("consistent" if bad is None else "inconsistent")
     assert checked_trail["restores"] > 0
 
