@@ -246,7 +246,9 @@ class _UnitParser:
             raise ParseError(f"role {tok.text!r} must be local", tok.line, tok.col)
         return name
 
-    def _local_individual(self, tok: _Tok) -> str:
+    def _local_individual(self, tok) -> str:
+        if not isinstance(tok, _Tok):
+            raise ParseError("expected an individual name", tok.line, tok.col)
         unit, name = _qname(tok, self.kb.unit)
         if unit != self.kb.unit:
             raise ParseError(f"individual {tok.text!r} must be local",
@@ -481,11 +483,14 @@ def parse_coupling(document: str | dict) -> Coupling:
 
     for ld in section(doc, "links"):
         entry("link", ld, "name", "target_unit")
+        parents = tuple(section(ld, "parents"))
+        if not all(isinstance(p, str) for p in parents):
+            raise SchemaError(f"link parents {list(parents)!r} are not all names")
         coup.links.append(LinkDecl(
             name=str(ld["name"]),
             target_unit=str(ld["target_unit"]),
             transitive=bool(ld.get("transitive", False)),
-            parents=tuple(section(ld, "parents"))))
+            parents=parents))
 
     for la in section(doc, "link_assertions"):
         link = str(entry("link assertion", la, "from", "link", "to")["link"])

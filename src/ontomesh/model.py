@@ -713,8 +713,7 @@ class DistributedKB:
         """What a node label may hold: every sub-expression of the goal, of
         each unit's internalization (bridges included) and of its absorbed
         GCIs, the value restrictions the forall-plus rule adds, and the NNF
-        complements of every member.  Used by the audit and the
-        termination bound."""
+        complements of every member.  Used by the audit."""
         out: set[Concept] = set()
         for u in self.unit_order:
             out |= subconcepts(self.internalization(u))
@@ -809,6 +808,7 @@ class DistributedKB:
                     elif atom.name not in self.units[atom.unit].concept_names:
                         out.append(Violation("unknown-concept",
                                              f"{atom.key()} is not declared", u))
+            declared = {(l.name, l.target_unit) for l in coup.links}
             for ld in coup.links:
                 if ld.target_unit not in self.units:
                     out.append(Violation("unknown-unit",
@@ -818,6 +818,11 @@ class DistributedKB:
                         "transitive-link",
                         f"Trans({ld.name},({u},{ld.target_unit})) needs {ld.name} "
                         f"declared as a role of {u} as well", u))
+                for parent in ld.parents:
+                    if (parent, ld.target_unit) not in declared:
+                        out.append(Violation(
+                            "unknown-property", f"link {ld.name} has undeclared "
+                            f"parent {parent} toward {ld.target_unit}", u))
             for ic in coup.individual_correspondences:
                 if ic.foreign_unit not in self.units:
                     out.append(Violation("unknown-unit",

@@ -61,6 +61,7 @@ class PeerConfig:
     # on: each peer's projection cache lives as long as the session;
     # off: every task starts with a new one
     use_cache: bool = True
+    # off: the projection hook hands back no answer's literals
     reverse_updates: bool = True
     audit: bool = False
 
@@ -102,8 +103,7 @@ class Peer:
         self.cache = ProjectionCache()
         self.router = None                   # injected by the session
         self._pkg_counter = itertools.count(1)
-        self._serving: set[tuple[str, bytes]] = set()
-        self._serve_depth = 0
+        self._serving: set[tuple[str, bytes]] = set()  # the open serves
         self._lock = threading.RLock()
 
     def doom_oracle(self, graph, node_id) -> str | None:
@@ -140,15 +140,18 @@ class Peer:
                 f"peer {self.unit} failed to build its skeleton: {e}") from e
         self._skeleton_closed = False
 
-    def closed_skeleton(self):
-        """The skeleton that working copies start from, closed under the
-        deterministic rules on first use, not in adopt_holes, so that setup
-        does not pay for it."""
+    def working_copy(self):
+        """A clone of the skeleton with doom_oracle as its early-clash
+        check: what every task and serve expands.  The skeleton is closed
+        under the deterministic rules on first use, not in adopt_holes, so
+        that setup does not pay for it."""
         with self._lock:
             if not self._skeleton_closed:
                 close_deterministic(self.skeleton)
                 self._skeleton_closed = True
-            return self.skeleton
+        graph = self.skeleton.clone()
+        graph.clash_oracle = self.doom_oracle
+        return graph
 
     # -- outbound projections ----------------------------------------------------
 
@@ -159,8 +162,9 @@ class Peer:
         which is the item itself.  Obligations toward holed peers are not
         packaged and get no additions.  After a clash for some node, that
         node's remaining packages are never sent: the branch is closing
-        anyway, so their answers could not change it.  A budget that runs
-        out in a serve raises through the hook."""
+        anyway, so their answers could not change it.  With reverse updates
+        off, additions come back empty, after the cache stored them whole.
+        A budget that runs out in a serve raises through the hook."""
 
         def hook(obligations: list[Obligation]):
             results = dict.fromkeys(obligations, (ADDITIONS, ()))
@@ -171,14 +175,16 @@ class Peer:
                     results.update(dict.fromkeys(pkg.items, (SKIPPED, None)))
                     self.router.notify_skip(self.unit, pkg)
                     continue
-                for ob, outcome in zip(pkg.items, self._send_package(pkg)):
-                    results[ob] = outcome
-                    verdict, payload = outcome
+                for ob, (verdict, payload) in zip(pkg.items,
+                                                  self._send_package(pkg)):
                     if verdict == CLASH:
                         clashed_nodes.add(ob.node)
                         if payload != JOINT:
                             self.cache.record_clash(ob.dest_unit, ob.fragment,
                                                     ob.target_individual)
+                    elif not self.config.reverse_updates:
+                        payload = ()
+                    results[ob] = (verdict, payload)
             return [results[ob] for ob in obligations]
 
         return hook
@@ -207,22 +213,18 @@ class Peer:
             raise PhaseError(f"peer {self.unit} cannot serve in phase {self.phase}")
         key = (pkg.frm, pkg.content_bytes())
         with self._lock:
-            if self._serve_depth >= SERVE_DEPTH_LIMIT:
+            if len(self._serving) >= SERVE_DEPTH_LIMIT:
                 raise InconclusiveError(
                     f"peer {self.unit} has {SERVE_DEPTH_LIMIT} serves open")
             if key in self._serving:
                 return tuple((ADDITIONS, ()) for _ in pkg.items), False
             self._serving.add(key)
-            self._serve_depth += 1
         hook = self.projection_hook(pkg.origin)
         try:
-            outcomes = serve_package(pkg, self.closed_skeleton(), hook,
-                                     reverse_updates=self.config.reverse_updates,
-                                     clash_oracle=self.doom_oracle)
+            outcomes = serve_package(pkg, self.working_copy, hook)
         finally:
             with self._lock:
                 self._serving.discard(key)
-                self._serve_depth -= 1
         return outcomes, True
 
 
@@ -303,14 +305,12 @@ class LoopbackSession:
         given, with the projection machinery live; audit a complete goal
         graph when the config asks.  A budget that runs out here or in a
         serve it causes raises InconclusiveError."""
-        graph = peer.closed_skeleton().clone()
-        graph.clash_oracle = peer.doom_oracle
+        graph = peer.working_copy()
         if goal is not None:
             graph.add_label(0, goal)
         hook = peer.projection_hook(origin=peer.unit)
         try:
-            outcome = expand_to_completion(
-                graph, hook, reverse_updates=peer.config.reverse_updates)
+            outcome = expand_to_completion(graph, hook)
         except BudgetExceeded as e:
             raise InconclusiveError(
                 f"task at peer {peer.unit} ran out: {e}") from e

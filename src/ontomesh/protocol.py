@@ -224,27 +224,26 @@ def response_literals(graph: CompletionGraph, node: int,
 # serving
 # ---------------------------------------------------------------------------
 
-def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
-                  downstream_hook=None, reverse_updates: bool = True,
-                  clash_oracle=None) -> tuple:
-    """Serve one package against a fresh working copy of the local graph.
+def serve_package(pkg: ProjectionPackage, new_copy,
+                  downstream_hook=None) -> tuple:
+    """Serve one package against a fresh working copy of the local graph,
+    as new_copy() returns it.
 
     Each item either updates the node of its named target individual or
     opens a new node labelled with the fragment.  The copy is expanded to
-    completion with clash_oracle as its early-clash check; downstream
-    obligations leave through the hook.  Per item the outcome is a clash or
-    the foreign literals to add back at the requester: those of the served
-    node whose dependency set is empty, so that they rest on no choice of
-    the copy.  The copy is discarded afterwards.  A copy that runs out of
-    budget raises BudgetExceeded: a serve never answers an open question.
+    completion; downstream obligations leave through the hook.  Per item
+    the outcome is a clash or the foreign literals to add back at the
+    requester: those of the served node whose dependency set is empty, so
+    that they rest on no choice of the copy.  The copy is discarded
+    afterwards.  A copy that runs out of budget raises BudgetExceeded: a
+    serve never answers an open question.
 
     When the joint expansion closes every branch and the package has
     several items, items are retried individually so the requester can
     close exactly the branches that are truly doomed; if no single item
     clashes on its own, the joint clash is reported on all of them.
     """
-    outcome = _serve_items(pkg.items, pkg.frm, skeleton, downstream_hook,
-                           reverse_updates, clash_oracle)
+    outcome = _serve_items(pkg.items, pkg.frm, new_copy, downstream_hook)
     if outcome is not None:
         return outcome
     if len(pkg.items) == 1:
@@ -252,8 +251,7 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     singles = []
     any_clash = False
     for item in pkg.items:
-        one = _serve_items((item,), pkg.frm, skeleton, downstream_hook,
-                           reverse_updates, clash_oracle)
+        one = _serve_items((item,), pkg.frm, new_copy, downstream_hook)
         if one is None:
             singles.append((CLASH, None))
             any_clash = True
@@ -264,10 +262,8 @@ def serve_package(pkg: ProjectionPackage, skeleton: CompletionGraph,
     return tuple(singles)
 
 
-def _serve_items(items, requester: str, skeleton: CompletionGraph,
-                 downstream_hook, reverse_updates, clash_oracle):
-    copy = skeleton.clone()
-    copy.clash_oracle = clash_oracle
+def _serve_items(items, requester: str, new_copy, downstream_hook):
+    copy = new_copy()
     placed: list[int] = []
     for item in items:
         node_id = None
@@ -286,17 +282,17 @@ def _serve_items(items, requester: str, skeleton: CompletionGraph,
         for c in item.fragment:
             copy.add_label(node_id, c)
         placed.append(node_id)
-    result = expand_to_completion(copy, downstream_hook, reverse_updates)
+    result = expand_to_completion(copy, downstream_hook)
     if result is Outcome.UNSATISFIABLE:
         return None
     # a literal with a non-empty dependency set rests on a choice, which
     # the requester would take as a fact: keep it back
     outcomes = []
     for item, node_id in zip(items, placed):
-        deps = copy.nodes[node_id].deps
+        label = copy.nodes[node_id].label
         outcomes.append((ADDITIONS, tuple(
             c for c in response_literals(copy, node_id, item.fragment)
-            if not deps.get(c, 0))))
+            if not label[c])))
     return tuple(outcomes)
 
 

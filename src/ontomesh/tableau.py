@@ -21,9 +21,9 @@ actions.
 Dependency-directed backjumping (Horrocks & Patel-Schneider, JLC 1999;
 Baader & Sattler, Studia Logica 2001).  A dependency set is an int bitmask
 over branch-stack depth: bit k names the open branch point at depth k.
-Each label member is tagged with the set it was derived under; a member
-with no entry in its node's map depends on nothing, and the first
-derivation of a member wins.  An addition depends on what its rule read:
+A node's label maps each member to the set it was derived under (every
+member maps to its set; 0 means none), and the first derivation of a
+member wins.  An addition depends on what its rule read:
 and and unfold on the triggering member, or and choose alternatives on the
 disjunction (choose also on both nodes' creation) plus their own branch
 point, the ce rule on nothing.  A generated node keeps, as its creation
@@ -58,8 +58,8 @@ through projection, so a branch expands entirely locally before any
 message leaves.
 
 Undo runs on a trail, after MiniSat (Een & Sorensson 2003).  Every change
-to the graph (a node, a label member and its dependency set, an edge, a
-distinct pair, a correspondence field, a creation set, a version, each step
+to the graph (a node, a label member with its dependency set, an edge, a
+distinct pair, a correspondence state, a creation set, a version, each step
 of a merge) appends one undo record holding the old value.  A branch point
 keeps the trail length as its mark; jumping back to it pops records and
 undoes them in reverse order until the trail is that long again, which
@@ -94,6 +94,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     And,
@@ -150,50 +151,29 @@ class ClashInfo:
     deps: int  # the branch points the clash rests on
 
 
-@dataclass
-class Blocked:
-    kind: str  # "direct" | "indirect" | "none"
-
-    def __bool__(self):
-        return self.kind != "none"
-
-
-UNBLOCKED = Blocked("none")
-DIRECT = Blocked("direct")
-INDIRECT = Blocked("indirect")
-
-
-@dataclass
-class CorrState:
-    """Projection bookkeeping of one node toward one foreign unit."""
+class CorrState(NamedTuple):
+    """Projection bookkeeping of one node toward one foreign unit; a value,
+    which set_corr replaces, so clones share it."""
 
     target_individual: str | None = None  # named individual at the far side
     requester: tuple[str, object] | None = None  # (peer, remote node) for projected nodes
     sent_fragment: tuple[Concept, ...] | None = None
 
-    def clone(self):
-        return CorrState(self.target_individual, self.requester,
-                         self.sent_fragment)
-
 
 class Node:
-    __slots__ = ("id", "unit", "label", "origin", "parent", "distinct", "corr",
-                 "ver", "deps", "cdeps")
+    __slots__ = ("id", "label", "origin", "parent", "distinct", "corr", "ver",
+                 "cdeps")
 
-    def __init__(self, id: NodeId, unit: UnitId, origin: tuple,
-                 parent: NodeId | None = None):
+    def __init__(self, id: NodeId, origin: tuple, parent: NodeId | None = None):
         self.id = id
-        self.unit = unit
-        self.label: set[Concept] = set()
+        # each member -> the dependency set it was derived under
+        self.label: dict[Concept, int] = {}
         self.origin = origin
         self.parent = parent
         self.distinct: set[NodeId] = set()
         self.corr: dict[UnitId, CorrState] = {}
         self.ver = 0
-        # dependency sets: per label member, non-zero ones only, and of the
-        # node's creation
-        self.deps: dict[Concept, int] = {}
-        self.cdeps = 0
+        self.cdeps = 0  # the dependency set of the node's creation
 
     @property
     def generated(self) -> bool:
@@ -204,13 +184,11 @@ class Node:
         return self.origin[0] == "projected"
 
     def clone(self) -> "Node":
-        n = Node(self.id, self.unit, self.origin, self.parent)
-        n.label = set(self.label)
+        n = Node(self.id, self.origin, self.parent)
+        n.label = dict(self.label)
         n.distinct = set(self.distinct)
-        n.corr = {u: c.clone() for u, c in self.corr.items()}
+        n.corr = dict(self.corr)
         n.ver = self.ver
-        if self.deps:
-            n.deps = dict(self.deps)
         n.cdeps = self.cdeps
         return n
 
@@ -281,7 +259,7 @@ class CompletionGraph:
         if len(self.nodes) >= MAX_NODES:
             raise BudgetExceeded(f"more than {MAX_NODES} nodes")
         x = self.next_id
-        node = Node(x, self.unit, origin, parent)
+        node = Node(x, origin, parent)
         node.ver = next(self._clock)
         self.nodes[x] = node
         self.out_e[x] = {}
@@ -295,15 +273,11 @@ class CompletionGraph:
     def add_label(self, node: NodeId, c: Concept, deps: int = 0) -> bool:
         """Add c to the node's label, depending on the branch points in
         deps; a member already there keeps its own set."""
-        n = self.nodes[node]
-        label = n.label
+        label = self.nodes[node].label
         if c in label:
             return False
-        label.add(c)
-        self._trail.append((set.discard, label, c))
-        if deps:
-            n.deps[c] = deps
-            self._trail.append((dict.__delitem__, n.deps, c))
+        label[c] = deps
+        self._trail.append((dict.__delitem__, label, c))
         self._bump_around(node)
         return True
 
@@ -342,18 +316,17 @@ class CompletionGraph:
             self._bump_around(a, b)
 
     def set_corr(self, node: NodeId, unit: UnitId, **fields) -> None:
-        """Set fields of the node's correspondence state toward unit,
-        creating it if needed.  Every corr write goes through here, because
-        rules at the node and its neighbors read corr."""
+        """Replace the node's correspondence state toward unit by one with
+        these fields changed, creating it if needed.  Every corr write goes
+        through here, because rules at the node and its neighbors read corr."""
         corr = self.nodes[node].corr
-        st = corr.get(unit)
-        if st is None:
-            st = corr[unit] = CorrState()
+        old = corr.get(unit)
+        if old is None:
+            old = CorrState()
             self._trail.append((dict.__delitem__, corr, unit))
-        self._trail.append((_set_attrs, st, tuple(
-            (name, getattr(st, name)) for name in fields)))
-        for name, value in fields.items():
-            setattr(st, name, value)
+        else:
+            self._trail.append((_put, corr, (unit, old)))
+        corr[unit] = old._replace(**fields)
         self._bump_around(node)
 
     def _bump_around(self, *xs: NodeId) -> None:
@@ -466,24 +439,23 @@ class CompletionGraph:
 
     # -- blocking ------------------------------------------------------------------
 
-    def blocked(self, x: NodeId) -> Blocked:
+    def blocked(self, x: NodeId) -> str:
+        """The node's blocked kind: "direct", "indirect" or "" for none."""
         node = self.nodes[x]
         if node.parent is None and node.origin[0] != "projected":
-            return UNBLOCKED  # roots, individuals and placeholders never block
+            return ""  # roots, individuals and placeholders never block
         anc = node.parent
         while anc is not None:
             if self._directly_blocked(anc):
-                return INDIRECT
+                return "indirect"
             anc = self.nodes[anc].parent
-        if self._directly_blocked(x):
-            return DIRECT
-        return UNBLOCKED
+        return "direct" if self._directly_blocked(x) else ""
 
     def _directly_blocked(self, x: NodeId) -> bool:
         node = self.nodes[x]
         if node.projected:
             for y, other in self.nodes.items():
-                if y < x and node.label <= other.label:
+                if y < x and node.label.keys() <= other.label.keys():
                     return True
             return False
         if not node.generated or node.parent is None:
@@ -494,8 +466,9 @@ class CompletionGraph:
         while y is not None:
             yp = self.nodes[y].parent
             if yp is not None:
-                if (self.nodes[y].label == node.label
-                        and self.nodes[yp].label == self.nodes[xp].label
+                if (self.nodes[y].label.keys() == node.label.keys()
+                        and self.nodes[yp].label.keys()
+                        == self.nodes[xp].label.keys()
                         and self._edge_labels(yp, y) == x_edge):
                     return True
             y = self.nodes[y].parent
@@ -506,20 +479,18 @@ class CompletionGraph:
 
     # -- clash detection ---------------------------------------------------------
 
-    def detect_clash(self, x: NodeId, b: Blocked) -> ClashInfo | None:
-        """A clash at x, whose blocked status is b, if any.  Of several
-        Bottom and complement clashes the one with the smallest set is
-        taken, which jumps furthest and does not depend on the label's
-        iteration order."""
-        node = self.nodes[x]
-        label, deps = node.label, node.deps
+    def detect_clash(self, x: NodeId, b: str) -> ClashInfo | None:
+        """A clash at x, whose blocked kind is b, if any.  Of several Bottom
+        and complement clashes the one with the smallest set is taken,
+        which jumps furthest; ties go to the earliest member in insertion
+        order, which is the same in every process (a set's hash order is
+        not)."""
+        label = self.nodes[x].label
         found = None
-        for c in label:
-            if isinstance(c, Bottom):
-                d = deps.get(c, 0)
-            elif isinstance(c, Not) and c.operand in label:
-                d = deps.get(c, 0) | deps.get(c.operand, 0)
-            else:
+        for c, d in label.items():
+            if isinstance(c, Not) and c.operand in label:
+                d |= label[c.operand]
+            elif not isinstance(c, Bottom):
                 continue
             if found is None or d < found.deps:
                 reason = ("bottom in label" if isinstance(c, Bottom)
@@ -533,7 +504,7 @@ class CompletionGraph:
             reason = self.clash_oracle(self, x)
             if reason:
                 d = 0
-                for c, dc in deps.items():
+                for c, dc in label.items():
                     if c.home != self.unit:
                         d |= dc
                 return ClashInfo(x, reason, d)
@@ -561,7 +532,7 @@ class CompletionGraph:
             mark = ""
             b = self.blocked(x)
             if b:
-                mark = f" [{b.kind}ly blocked]"
+                mark = f" [{b}ly blocked]"
             lines.append(f"node {x} ({n.origin[0]}){mark}")
             for c in n.sorted_label():
                 lines.append(f"  {c.key()}")
@@ -627,21 +598,21 @@ def init_graph(kb: DistributedKB, unit: UnitId,
 
 def _and_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
+    label = node.label
     for c in node.sorted_label():
-        if isinstance(c, And) and not {c.left, c.right} <= node.label:
-            return ("add", x, [c.left, c.right], node.deps.get(c, 0))
+        if isinstance(c, And) and (c.left not in label or c.right not in label):
+            return ("add", x, [c.left, c.right], label[c])
     return None
 
 
 def _unfold_rule(g: CompletionGraph, x: NodeId):
     """Lazy unfolding of the GCIs absorbed into the label's atoms."""
-    node = g.nodes[x]
-    label = node.label
+    label = g.nodes[x].label
     for a, rhs in g.kb.absorbed(g.unit).items():
         if a in label:
             missing = [c for c in rhs if c not in label]
             if missing:
-                return ("add", x, missing, node.deps.get(a, 0))
+                return ("add", x, missing, label[a])
     return None
 
 
@@ -654,11 +625,11 @@ def branch_order(d: Concept) -> tuple:
 
 def _or_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
+    label = node.label
     for c in node.sorted_label():
-        if isinstance(c, Or) and not {c.left, c.right} & node.label:
+        if isinstance(c, Or) and c.left not in label and c.right not in label:
             alts = sorted({c.left, c.right}, key=branch_order)
-            deps = node.deps.get(c, 0)
-            return ("branch", [("add", x, [d], deps) for d in alts])
+            return ("branch", [("add", x, [d], label[c]) for d in alts])
     return None
 
 
@@ -670,14 +641,14 @@ def _forall_rule(g: CompletionGraph, x: NodeId):
             for y in g.forall_targets(x, c.prop):
                 target = g.nodes[y]
                 if c.filler not in target.label:
-                    return ("add", y, [c.filler], node.deps.get(c, 0)
+                    return ("add", y, [c.filler], node.label[c]
                             | node.cdeps | target.cdeps)
             for r in g.kb.transitive_subroles(c.prop):
                 d = ForAll(r, c.filler)
                 for y in g.successors(x, r):
                     target = g.nodes[y]
                     if d not in target.label:
-                        return ("add", y, [d], node.deps.get(c, 0)
+                        return ("add", y, [d], node.label[c]
                                 | node.cdeps | target.cdeps)
     return None
 
@@ -686,8 +657,7 @@ def _exists_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
     for c in node.sorted_label():
         if isinstance(c, Exists) and not _witnesses(g, x, c):
-            return ("generate", x, c.prop, [c.filler], False,
-                    node.deps.get(c, 0))
+            return ("generate", x, c.prop, [c.filler], False, node.label[c])
     return None
 
 
@@ -697,7 +667,7 @@ def _atleast_rule(g: CompletionGraph, x: NodeId):
         if isinstance(c, AtLeast) and not _has_distinct(
                 g, _witnesses(g, x, c), c.n):
             return ("generate", x, c.prop, [c.filler] * c.n, True,
-                    node.deps.get(c, 0))
+                    node.label[c])
     return None
 
 
@@ -719,11 +689,12 @@ def _choose_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
     for c in node.sorted_label():
         if isinstance(c, (AtLeast, AtMost)):
+            f, nf = c.filler, neg(c.filler)
             for y in g.successors(x, c.prop):
                 target = g.nodes[y]
-                if not {c.filler, neg(c.filler)} & target.label:
-                    alts = sorted({c.filler, neg(c.filler)}, key=branch_order)
-                    deps = node.deps.get(c, 0) | node.cdeps | target.cdeps
+                if f not in target.label and nf not in target.label:
+                    alts = sorted((f, nf), key=branch_order)
+                    deps = node.label[c] | node.cdeps | target.cdeps
                     return ("branch", [("add", y, [d], deps) for d in alts])
     return None
 
@@ -759,12 +730,10 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
     keep and of gone's neighbours, depend on every open branch point."""
     deps = g.open_deps()
     gnode = g.nodes[gone]
-    knode = g.nodes[keep]
-    klabel = knode.label
-    for c in gnode.label - klabel:
-        klabel.add(c)
-        knode.deps[c] = deps
-        g._trail += ((set.discard, klabel, c), (dict.__delitem__, knode.deps, c))
+    klabel = g.nodes[keep].label
+    for c in [c for c in gnode.label if c not in klabel]:
+        klabel[c] = deps
+        g._trail.append((dict.__delitem__, klabel, c))
     for y in {keep, *g.out_e[gone], *g.in_e[gone]} - {gone}:
         n = g.nodes[y]
         g._trail.append((_set_attrs, n, (("cdeps", n.cdeps),)))
@@ -796,20 +765,20 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
 # the engine
 # ---------------------------------------------------------------------------
 
-def _local_phase(g: CompletionGraph, x: NodeId, b: Blocked):
+def _local_phase(g: CompletionGraph, x: NodeId, b: str):
     act = None if b else _and_rule(g, x) or _unfold_rule(g, x)
-    if not act and b.kind != "indirect":
+    if not act and b != "indirect":
         act = _forall_rule(g, x)
     return act
 
 
-def _generate_phase(g: CompletionGraph, x: NodeId, b: Blocked):
+def _generate_phase(g: CompletionGraph, x: NodeId, b: str):
     return None if b else _exists_rule(g, x) or _atleast_rule(g, x)
 
 
-def _branch_phase(g: CompletionGraph, x: NodeId, b: Blocked):
+def _branch_phase(g: CompletionGraph, x: NodeId, b: str):
     act = None if b else _or_rule(g, x) or _choose_rule(g, x)
-    if not act and b.kind != "indirect":
+    if not act and b != "indirect":
         act = _atmost_rule(g, x)
     return act
 
@@ -837,7 +806,7 @@ def _sweep(g: CompletionGraph, clash_memo: set):
     keyed = []
     for x in sorted(nodes):
         b = g.blocked(x)
-        key = (x, nodes[x].ver, b.kind)
+        key = (x, nodes[x].ver, b)
         if key not in clash_memo:
             clash = g.detect_clash(x, b)
             if clash is not None:
@@ -871,8 +840,7 @@ def close_deterministic(g: CompletionGraph) -> None:
         g.add_label(x, ck)
     local = g._rule_memo[0]
     while True:
-        keyed = [(x, UNBLOCKED, (x, n.ver, UNBLOCKED.kind))
-                 for x, n in sorted(g.nodes.items())]
+        keyed = [(x, "", (x, n.ver, "")) for x, n in sorted(g.nodes.items())]
         action = _scan(g, keyed, local, _local_phase)
         if action is None:
             break
@@ -1008,17 +976,16 @@ def mark_sent(g: CompletionGraph, ob: Obligation):
     g.set_corr(ob.node, ob.dest_unit, sent_fragment=ob.fragment)
 
 
-def expand_to_completion(g: CompletionGraph, projection_hook=None,
-                         reverse_updates: bool = True) -> Outcome:
+def expand_to_completion(g: CompletionGraph, projection_hook=None) -> Outcome:
     """Local fixpoint, then flush projection obligations through the hook
     and fold the responses back in, until nothing changes anywhere.
 
     The hook takes a list of Obligations and returns a list of
     (CLASH, payload), (ADDITIONS, tuple-of-literals) or (SKIPPED, None)
     outcomes aligned with it, applied in place: each but SKIPPED marks its
-    fragment sent, additions join the node's label when reverse_updates is
-    on, and the first clash puts Bottom there and ends the round, which
-    sends the engine back into backjumping.
+    fragment sent, additions join the node's label, and the first clash
+    puts Bottom there and ends the round, which sends the engine back into
+    backjumping.
 
     A clash confirmed for the item alone depends on the item's fragment; a
     JOINT clash, on every open branch point.  Additions depend on the
@@ -1045,17 +1012,16 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None,
                             g.open_deps() if payload == JOINT
                             else _fragment_deps(g, ob))
                 break
-            if reverse_updates:
-                for c in payload:
-                    g.add_label(ob.node, c, package[ob.dest_unit])
+            for c in payload:
+                g.add_label(ob.node, c, package[ob.dest_unit])
 
 
 def _fragment_deps(g: CompletionGraph, ob: Obligation) -> int:
     """The union of the sets of the obligation's fragment members."""
-    deps = g.nodes[ob.node].deps
+    label = g.nodes[ob.node].label
     out = 0
     for c in ob.fragment:
-        out |= deps.get(c, 0)
+        out |= label[c]
     return out
 
 
@@ -1081,8 +1047,7 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
         problems.append(f"property {prop}: {msg}")
 
     for x in sorted(g.nodes):
-        node = g.nodes[x]
-        label = node.label
+        label = g.nodes[x].label.keys()
         blocked = g.blocked(x)
         for c in label:
             if c not in universe and not isinstance(c, (Top, Bottom)):
@@ -1101,7 +1066,7 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
                     if d not in label:
                         complain("12", f"node {x}: {c.key()} not unfolded "
                                  f"into {d.key()}")
-            if isinstance(c, ForAll) and blocked.kind != "indirect":
+            if isinstance(c, ForAll) and blocked != "indirect":
                 for y in g.forall_targets(x, c.prop):
                     if c.filler not in g.nodes[y].label:
                         complain("4", f"node {x}: {c.key()} missed node {y}")
@@ -1116,12 +1081,12 @@ def audit_complete_graph(g: CompletionGraph, goal: Concept | None = None) -> lis
             if isinstance(c, AtLeast) and not blocked:
                 if not _has_distinct(g, _witnesses(g, x, c), c.n):
                     complain("9", f"node {x}: too few witnesses for {c.key()}")
-            if isinstance(c, AtMost) and blocked.kind != "indirect":
+            if isinstance(c, AtMost) and blocked != "indirect":
                 if len(_witnesses(g, x, c)) > c.n:
                     complain("8", f"node {x}: at-most bound exceeded for {c.key()}")
             if isinstance(c, (AtLeast, AtMost)) and not blocked:
                 for y in g.successors(x, c.prop):
-                    if not {c.filler, neg(c.filler)} & g.nodes[y].label:
+                    if not {c.filler, neg(c.filler)} & g.nodes[y].label.keys():
                         complain("10", f"node {x}: choose missed node {y}")
     # property 7: edge labels upward closed under the hierarchy, by
     # construction of `successors`; verify on a sample

@@ -77,8 +77,10 @@ def test_parse_errors_carry_position():
     ("(sub A ())", "bad concept expression"),
     ("foo", "expected a (...) form"),
     ("(subrole (r) r)", "expected a role name"),
+    ("(different (a) b)", "expected an individual name"),
+    ("(different a ())", "expected an individual name"),
 ], ids=["inv-without-role", "role-in-parens", "empty-concept", "bare-name",
-        "form-as-role-name"])
+        "form-as-role-name", "form-as-individual", "empty-form-as-individual"])
 def test_malformed_forms_carry_position(line, message):
     with pytest.raises(ParseError) as err:
         parse_unit(f"(unit u1)\n(concept A) (role r)\n{line}\n")
@@ -211,9 +213,13 @@ _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
     ({"mappings": 5}, "mappings 5 is not a list"),
     ({"links": [{"name": "r", "target_unit": "u2", "parents": 5}]},
      "parents 5 is not a list"),
+    ({"links": [{"name": "e", "target_unit": "u2", "parents": ["nosuch"]}]},
+     "link e has undeclared parent nosuch toward u2"),
+    ({"links": [{"name": "e", "target_unit": "u2", "parents": [1]}]},
+     r"link parents \[1\] are not all names"),
 ], ids=["rule-without-source", "correspondence-without-foreign",
         "assertion-without-link", "rule-as-string", "mappings-not-a-list",
-        "parents-not-a-list"])
+        "parents-not-a-list", "undeclared-parent", "parent-not-a-name"])
 def test_malformed_coupling_entry_fails_to_load(coupling, named):
     with pytest.raises(LoadError, match=named):
         load_kb(_TWO_UNITS, [{"unit": "u1", **coupling}])

@@ -138,7 +138,7 @@ def test_serve_ships_forced_literals_derived_after_a_choice():
         asked.extend(ob.dest_unit for ob in obligations)
         return [(ADDITIONS, (Atom("u2", "R"),)) for _ in obligations]
 
-    outcomes = serve_package(pkg, init_graph(kb, "u2"), u3_answers_r)
+    outcomes = serve_package(pkg, init_graph(kb, "u2").clone, u3_answers_r)
     assert asked and set(asked) == {"u3"}
     assert outcomes == ((ADDITIONS, (Atom("u1", "Z"), Atom("u3", "Q"))),
                         (ADDITIONS, ()))

@@ -43,7 +43,7 @@ def test_init_graph_empty_unit_single_root():
     kb = _kb("(unit u1)")
     g = init_graph(kb, "u1")
     assert len(g.nodes) == 1
-    assert g.nodes[0].label == set()
+    assert g.nodes[0].label == {}
 
 
 def test_init_graph_abox():
@@ -119,7 +119,7 @@ def test_conjunction_decomposition():
     kb = _kb("(unit u1)\n(concept A)\n(concept B)")
     ok, g = _local_sat(kb, "u1", "(and A B)")
     assert ok
-    assert {Atom("u1", "A"), Atom("u1", "B")} <= g.nodes[0].label
+    assert {Atom("u1", "A"), Atom("u1", "B")} <= g.nodes[0].label.keys()
 
 
 def test_exists_forall_interaction():
@@ -272,7 +272,7 @@ def test_blocking_terminates_cyclic_gci():
     kb = _kb("(unit u1)\n(concept A)\n(role r)\n(sub A (some r A))")
     ok, g = _local_sat(kb, "u1", "A")
     assert ok
-    assert any(g.blocked(x).kind == "direct" for x in g.nodes)
+    assert any(g.blocked(x) == "direct" for x in g.nodes)
 
 
 def test_budget_exceeded_is_distinct(monkeypatch):
@@ -374,19 +374,6 @@ def test_projection_additions_are_integrated():
     assert len(rounds) >= 2
 
 
-def test_reverse_updates_can_be_disabled():
-    kb = conference_triangle_kb()
-    goal = parse_concept("PediatricConference", "u3")
-    g = init_graph(kb, "u3", goal)
-
-    def hook(obs):
-        return [("additions", (Atom("u2", "Conference"),)) for _ in obs]
-
-    assert expand_to_completion(g, hook, reverse_updates=False) \
-        is Outcome.COMPLETE
-    assert Atom("u2", "Conference") not in g.nodes[0].label
-
-
 # -- audit ----------------------------------------------------------------------
 
 def test_audit_clean_on_complete_graphs():
@@ -402,7 +389,7 @@ def test_audit_flags_broken_graph():
     goal = parse_concept("(and A B)", "u1")
     g = init_graph(kb, "u1", goal)
     assert expand_to_completion(g) is Outcome.COMPLETE
-    g.nodes[0].label.discard(Atom("u1", "A"))
+    del g.nodes[0].label[Atom("u1", "A")]
     assert any("property 2" in p for p in audit_complete_graph(g, goal))
 
 
@@ -414,7 +401,7 @@ def test_audit_flags_missing_forall_plus():
     assert audit_complete_graph(g, goal) == []
     forall_plus = parse_concept("(all r B)", "u1")
     (y,) = g.successors(0, Property("r", "u1", "u1"))
-    g.nodes[y].label.discard(forall_plus)
+    del g.nodes[y].label[forall_plus]
     assert audit_complete_graph(g, goal) == [
         f"property 6: node 0: {forall_plus.key()} missed node {y}"]
 
@@ -425,7 +412,7 @@ def test_audit_flags_missing_unfolding():
     g = init_graph(kb, "u1", goal)
     assert expand_to_completion(g) is Outcome.COMPLETE
     assert audit_complete_graph(g, goal) == []
-    g.nodes[0].label.discard(Atom("u1", "B"))
+    del g.nodes[0].label[Atom("u1", "B")]
     assert audit_complete_graph(g, goal) == [
         "property 12: node 0: u1:A not unfolded into u1:B"]
 
@@ -550,16 +537,16 @@ def test_clash_record_made_while_blocked_holds_only_while_blocked(
     g.clash_oracle = oracle
     clash_memo = set()
     assert tableau._sweep(g, clash_memo)[0] is None
-    kind = g.blocked(x).kind
+    kind = g.blocked(x)
     assert x not in asked and (x, g.nodes[x].ver, kind) in clash_memo
     # same version, now unblocked: the oracle must be asked at x
-    monkeypatch.setattr(g, "blocked", lambda n: tableau.Blocked("none"))
+    monkeypatch.setattr(g, "blocked", lambda n: "")
     clash, _ = tableau._sweep(g, clash_memo)
     assert clash.node == x and clash.reason == "doomed"
     # records made while unblocked: a blocked node is checked once more,
     # but the oracle is not asked
-    unblocked = {(n, g.nodes[n].ver, "none") for n in g.nodes}
-    monkeypatch.setattr(g, "blocked", lambda n: tableau.Blocked("direct"))
+    unblocked = {(n, g.nodes[n].ver, "") for n in g.nodes}
+    monkeypatch.setattr(g, "blocked", lambda n: "direct")
     asked.clear()
     assert tableau._sweep(g, unblocked)[0] is None
     assert asked == []
@@ -575,6 +562,23 @@ def test_restore_brings_back_node_versions():
     assert len(g.nodes) > len(versions)
     g.restore(snap)
     assert {x: n.ver for x, n in g.nodes.items()} == versions
+
+
+def test_clones_share_correspondence_states():
+    """A clone copies each node's corr map, not its states: a write on the
+    copy replaces the copy's state, and undoing it puts back the very
+    state object that the source still holds."""
+    g = init_graph(_kb("(unit u1)"), "u1")
+    g.set_corr(0, "u2", target_individual="x")
+    state = g.nodes[0].corr["u2"]
+    copy = g.clone()
+    assert copy.nodes[0].corr["u2"] is state
+    mark = copy.snapshot()
+    copy.set_corr(0, "u2", sent_fragment=(Atom("u2", "X"),))
+    assert copy.nodes[0].corr["u2"] == ("x", None, (Atom("u2", "X"),))
+    assert g.nodes[0].corr["u2"] is state and state.sent_fragment is None
+    copy.restore(mark)
+    assert copy.nodes[0].corr["u2"] is state
 
 
 def test_label_and_distinct_changes_bump_neighbor_versions():
@@ -688,7 +692,7 @@ def _assert_state(g, state):
     assert sorted(g.nodes) == sorted(nodes) and g.next_id == next_id
     for x, old in nodes.items():
         n = g.nodes[x]
-        assert n.id == x and n.unit == old.unit
+        assert n.id == x
         assert n.label == old.label and n.distinct == old.distinct
         assert (n.parent, n.origin) == (old.parent, old.origin)
         assert sorted(n.corr) == sorted(old.corr)
@@ -697,21 +701,20 @@ def _assert_state(g, state):
             assert (now.target_individual, now.requester, now.sent_fragment) \
                 == (st.target_individual, st.requester, st.sent_fragment)
         assert n.ver == old.ver
-        assert n.deps == old.deps and n.cdeps == old.cdeps
+        assert n.cdeps == old.cdeps
     assert g.out_e == out_e and g.in_e == in_e
     assert all(s for d in g.out_e.values() for s in d.values())
     assert all(s for d in g.in_e.values() for s in d.values())
 
 
 def _assert_open_deps(g):
-    """Every dependency set names only open branch points, and a member's
-    set is stored only when it is non-zero.  True if any set is non-zero."""
+    """Every dependency set names only open branch points.  True if any
+    set is non-zero."""
     open_deps = g.open_deps()
     for n in g.nodes.values():
-        assert all(n.deps.values()), n.deps
-        assert not any(d & ~open_deps for d in n.deps.values()), n.deps
+        assert not any(d & ~open_deps for d in n.label.values()), n.label
         assert not n.cdeps & ~open_deps
-    return any(n.deps or n.cdeps for n in g.nodes.values())
+    return any(any(n.label.values()) or n.cdeps for n in g.nodes.values())
 
 
 @pytest.fixture
