@@ -14,27 +14,22 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
+    CONSTRUCTORS,
     INTO,
     ONTO,
     Atom,
-    AtLeast,
-    AtMost,
     BridgeRule,
     Concept,
     Coupling,
     DistributedKB,
-    Exists,
-    ForAll,
     IndividualCorrespondence,
     LinkAssertion,
     LinkDecl,
     ModelError,
     Not,
-    Or,
-    And,
+    NumberRestriction,
     Property,
-    Top,
-    Bottom,
+    Restriction,
     UnitKB,
     nnf,
 )
@@ -284,10 +279,8 @@ class _UnitParser:
     def _concept(self, form) -> Concept:
         u = self.kb.unit
         if isinstance(form, _Tok):
-            if form.text == "top":
-                return Top(u)
-            if form.text == "bot":
-                return Bottom(u)
+            if form.text in ("top", "bot"):
+                return CONSTRUCTORS[form.text](u)
             unit, name = _qname(form, u)
             return Atom(unit, name)
         if not form or not isinstance(form[0], _Tok):
@@ -306,14 +299,14 @@ class _UnitParser:
             home = homes.pop() if len(homes) == 1 else u
             out = parts[-1]
             for c in reversed(parts[:-1]):
-                out = (And if head == "and" else Or)(c, out, home)
+                out = CONSTRUCTORS[head](c, out, home)
             return out
         if head in ("some", "all"):
             if len(form) != 3:
                 raise ParseError(f"({head} P CEXPR)", tok.line, tok.col)
             filler = self._concept(form[2])
             prop = self._restriction_property(form[1], filler)
-            return (Exists if head == "some" else ForAll)(prop, filler)
+            return CONSTRUCTORS[head](prop, filler)
         if head in ("min", "max"):
             if len(form) != 4 or not isinstance(form[1], _Tok):
                 raise ParseError(f"({head} INT P CEXPR)", tok.line, tok.col)
@@ -325,7 +318,7 @@ class _UnitParser:
             filler = self._concept(form[3])
             prop = self._restriction_property(form[2], filler)
             try:
-                return (AtLeast if head == "min" else AtMost)(n, prop, filler)
+                return CONSTRUCTORS[head](n, prop, filler)
             except ModelError as exc:
                 raise ParseError(str(exc), tok.line, tok.col)
         raise ParseError(f"unknown constructor {head!r}", tok.line, tok.col)
@@ -362,32 +355,20 @@ def parse_concept(text: str, unit: str) -> Concept:
 # ---------------------------------------------------------------------------
 
 def _concept_text(c: Concept, current: str) -> str:
-    def q(atom_unit: str, name: str) -> str:
-        return name if atom_unit == current else f"{atom_unit}:{name}"
-
-    if isinstance(c, Top):
-        return "top"
-    if isinstance(c, Bottom):
-        return "bot"
-    if isinstance(c, Atom):
-        return q(c.unit, c.name)
-    if isinstance(c, Not):
+    op = c.op
+    if op in ("top", "bot"):
+        return op
+    if op == "atom":
+        return c.name if c.unit == current else f"{c.unit}:{c.name}"
+    if op == "not":
         return f"(not {_concept_text(c.operand, current)})"
-    if isinstance(c, (And, Or)):
-        head = "and" if isinstance(c, And) else "or"
-        return (f"({head} {_concept_text(c.left, current)} "
-                f"{_concept_text(c.right, current)})")
-    prop = c.prop
-    ptext = f"(inv {prop.name})" if prop.inverted else prop.name
-    if isinstance(c, Exists):
-        return f"(some {ptext} {_concept_text(c.filler, current)})"
-    if isinstance(c, ForAll):
-        return f"(all {ptext} {_concept_text(c.filler, current)})"
-    if isinstance(c, AtLeast):
-        return f"(min {c.n} {ptext} {_concept_text(c.filler, current)})"
-    if isinstance(c, AtMost):
-        return f"(max {c.n} {ptext} {_concept_text(c.filler, current)})"
-    raise ModelError(f"cannot serialize {c!r}")
+    if isinstance(c, Restriction):
+        prop = c.prop
+        n = f"{c.n} " if isinstance(c, NumberRestriction) else ""
+        ptext = f"(inv {prop.name})" if prop.inverted else prop.name
+        return f"({op} {n}{ptext} {_concept_text(c.filler, current)})"
+    return (f"({op} {_concept_text(c.left, current)} "
+            f"{_concept_text(c.right, current)})")
 
 
 def serialize_unit(kb: UnitKB) -> str:
@@ -486,10 +467,13 @@ def parse_coupling(document: str | dict) -> Coupling:
         parents = tuple(section(ld, "parents"))
         if not all(isinstance(p, str) for p in parents):
             raise SchemaError(f"link parents {list(parents)!r} are not all names")
+        transitive = ld.get("transitive", False)
+        if not isinstance(transitive, bool):
+            raise SchemaError(f"link transitive {transitive!r} is not a boolean")
         coup.links.append(LinkDecl(
             name=str(ld["name"]),
             target_unit=str(ld["target_unit"]),
-            transitive=bool(ld.get("transitive", False)),
+            transitive=transitive,
             parents=parents))
 
     for la in section(doc, "link_assertions"):

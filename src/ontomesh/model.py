@@ -35,30 +35,33 @@ class _Interned:
     """Immutable hash-consed value (Filliâtre & Conchon, "Type-safe modular
     hash-consing", 2006).
 
-    Each concrete class lists its fields first in its own ``__slots__`` and
-    calls ``_intern`` from ``__new__``.  Structurally equal values are one
-    object, so equality is identity.  The canonical key string and the hash
-    (the same value a frozen dataclass would compute) are built once, when
-    the value is first made.  The table holds its values weakly: a value
-    lives as long as something outside the table refers to it.
+    Each concrete class names its constructor arguments, in order, in
+    ``_fields`` and calls ``_intern`` from ``__new__``.  Structurally equal
+    values are one object, so equality and hash are both identity, the
+    defaults of ``object``.  The canonical key string and the ``home`` unit
+    are stored when the value is first made.  Copies and pickles rebuild a
+    value from its fields, which gives back the interned object.  The table
+    holds its values weakly: a value lives as long as something outside
+    the table refers to it.
     """
 
-    __slots__ = ("_key", "_hash", "__weakref__")
+    __slots__ = ("_key", "home", "__weakref__")
+    _fields: tuple[str, ...] = ()
     _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
     # a miss builds a candidate, then inserts it unless another thread
     # has inserted an equal value in the meantime
     _insert_lock = threading.Lock()
 
     @classmethod
-    def _intern(cls, fields: tuple):
+    def _intern(cls, fields: tuple, home: UnitId):
         ident = (cls, fields)
         obj = _Interned._table.get(ident)
         if obj is not None:
             return obj
         obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
+        for name, value in zip(cls._fields, fields):
             object.__setattr__(obj, name, value)
-        object.__setattr__(obj, "_hash", hash(fields))
+        object.__setattr__(obj, "home", home)
         object.__setattr__(obj, "_key", obj._make_key())
         with _Interned._insert_lock:
             return _Interned._table.setdefault(ident, obj)
@@ -68,9 +71,6 @@ class _Interned:
 
     def key(self) -> str:
         return self._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return self._key
@@ -82,7 +82,7 @@ class _Interned:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 # sort key for concepts and properties: the cached canonical key string
@@ -104,13 +104,14 @@ class Property(_Interned):
     # _inverse keeps a role's inverse alive with it: the tableau asks for
     # it on every successor lookup, and a weakly interned inverse would
     # be rebuilt each time
-    __slots__ = ("name", "home", "target", "inverted", "_inverse")
+    __slots__ = ("name", "target", "inverted", "_inverse")
+    _fields = ("name", "home", "target", "inverted")
 
     def __new__(cls, name: str, home: UnitId, target: UnitId,
                 inverted: bool = False):
         if inverted and home != target:
             raise ModelError(f"link relation {name} cannot be inverted")
-        return cls._intern((name, home, target, inverted))
+        return cls._intern((name, home, target, inverted), home)
 
     @property
     def is_role(self) -> bool:
@@ -127,9 +128,6 @@ class Property(_Interned):
             object.__setattr__(inv, "_inverse", self)
             return inv
 
-    def __reduce__(self):
-        return Property, (self.name, self.home, self.target, self.inverted)
-
     def _make_key(self) -> str:
         inv = "inv " if self.inverted else ""
         if self.is_role:
@@ -142,161 +140,169 @@ class Property(_Interned):
 # ---------------------------------------------------------------------------
 
 class Concept(_Interned):
-    """Base class; every concrete concept is interned, so two equal
-    concepts are the same object."""
+    """Base class of the concept constructors; every concrete concept is
+    interned, so two equal concepts are the same object.
+
+    ``op`` names the constructor: its head in the unit DSL and in the wire
+    form.  ``home`` is the unit whose vocabulary the concept speaks: the
+    unit of a constant, atom or connective, the operand's home for a
+    negation, and the property's home for a restriction.  Each family of
+    constructors says once which of its fields are sub-concepts, through
+    ``children`` and ``map``; literals (constants, atoms and negations)
+    have none.
+    """
 
     __slots__ = ()
+    op: str
 
-    @property
-    def home(self) -> UnitId:
-        raise NotImplementedError
+    def children(self) -> tuple["Concept", ...]:
+        """The sub-concepts that NNF, closures and rewrites descend into."""
+        return ()
+
+    def map(self, f, cls=None) -> "Concept":
+        """This constructor, or its sibling cls, over f of each child."""
+        return self
 
     def __lt__(self, other: "Concept"):
         return self._key < other._key
 
 
-class Top(Concept):
-    __slots__ = ("unit",)
+class Constant(Concept):
+    """Top and Bottom of one unit."""
+
+    __slots__ = _fields = ("unit",)
 
     def __new__(cls, unit: UnitId):
-        return cls._intern((unit,))
+        return cls._intern((unit,), unit)
 
-    @property
-    def home(self):
-        return self.unit
-
-    def _make_key(self):
-        return f"{self.unit}:*top*"
-
-
-class Bottom(Concept):
-    __slots__ = ("unit",)
-
-    def __new__(cls, unit: UnitId):
-        return cls._intern((unit,))
-
-    @property
-    def home(self):
-        return self.unit
+    def map(self, f, cls=None):
+        return self if cls is None else cls(self.unit)
 
     def _make_key(self):
-        return f"{self.unit}:*bot*"
+        return f"{self.unit}:*{self.op}*"
+
+
+class Top(Constant):
+    __slots__ = ()
+    op = "top"
+
+
+class Bottom(Constant):
+    __slots__ = ()
+    op = "bot"
 
 
 class Atom(Concept):
-    __slots__ = ("unit", "name")
+    __slots__ = _fields = ("unit", "name")
+    op = "atom"
 
     def __new__(cls, unit: UnitId, name: str):
-        return cls._intern((unit, name))
-
-    @property
-    def home(self):
-        return self.unit
+        return cls._intern((unit, name), unit)
 
     def _make_key(self):
         return f"{self.unit}:{self.name}"
 
 
 class Not(Concept):
-    __slots__ = ("operand",)
+    __slots__ = _fields = ("operand",)
+    op = "not"
 
     def __new__(cls, operand: Concept):
-        return cls._intern((operand,))
-
-    @property
-    def home(self):
-        return self.operand.home
+        return cls._intern((operand,), operand.home)
 
     def _make_key(self):
         return f"(not {self.operand._key})"
 
 
-class And(Concept):
-    __slots__ = ("left", "right", "unit")
+class Connective(Concept):
+    """And and Or: two operands, and the unit the connective belongs to."""
+
+    __slots__ = _fields = ("left", "right", "unit")
 
     def __new__(cls, left: Concept, right: Concept, unit: UnitId):
-        return cls._intern((left, right, unit))
+        return cls._intern((left, right, unit), unit)
 
-    @property
-    def home(self):
-        return self.unit
+    def children(self):
+        return self.left, self.right
 
-    def _make_key(self):
-        return f"(and@{self.unit} {self.left._key} {self.right._key})"
-
-
-class Or(Concept):
-    __slots__ = ("left", "right", "unit")
-
-    def __new__(cls, left: Concept, right: Concept, unit: UnitId):
-        return cls._intern((left, right, unit))
-
-    @property
-    def home(self):
-        return self.unit
+    def map(self, f, cls=None):
+        return (cls or type(self))(f(self.left), f(self.right), self.unit)
 
     def _make_key(self):
-        return f"(or@{self.unit} {self.left._key} {self.right._key})"
+        return f"({self.op}@{self.unit} {self.left._key} {self.right._key})"
 
 
-class Exists(Concept):
-    __slots__ = ("prop", "filler")
+class And(Connective):
+    __slots__ = ()
+    op = "and"
+
+
+class Or(Connective):
+    __slots__ = ()
+    op = "or"
+
+
+class Restriction(Concept):
+    """Exists and ForAll: a property and a filler in its target unit."""
+
+    __slots__ = _fields = ("prop", "filler")
 
     def __new__(cls, prop: Property, filler: Concept):
-        return cls._intern((prop, filler))
+        return cls._intern((prop, filler), prop.home)
 
-    @property
-    def home(self):
-        return self.prop.home
+    def children(self):
+        return (self.filler,)
 
-    def _make_key(self):
-        return f"(some {self.prop._key} {self.filler._key})"
-
-
-class ForAll(Concept):
-    __slots__ = ("prop", "filler")
-
-    def __new__(cls, prop: Property, filler: Concept):
-        return cls._intern((prop, filler))
-
-    @property
-    def home(self):
-        return self.prop.home
+    def map(self, f, cls=None):
+        return (cls or type(self))(self.prop, f(self.filler))
 
     def _make_key(self):
-        return f"(all {self.prop._key} {self.filler._key})"
+        return f"({self.op} {self.prop._key} {self.filler._key})"
 
 
-class AtLeast(Concept):
-    __slots__ = ("n", "prop", "filler")
+class Exists(Restriction):
+    __slots__ = ()
+    op = "some"
+
+
+class ForAll(Restriction):
+    __slots__ = ()
+    op = "all"
+
+
+class NumberRestriction(Restriction):
+    """AtLeast and AtMost: a bound n >= least, a property and a filler."""
+
+    __slots__ = ("n",)
+    _fields = ("n", "prop", "filler")
+    least = 0
 
     def __new__(cls, n: int, prop: Property, filler: Concept):
-        if n < 1:
-            raise ModelError("at-least restriction needs n >= 1")
-        return cls._intern((n, prop, filler))
+        if n < cls.least:
+            raise ModelError(f"{cls.op} restriction needs n >= {cls.least}")
+        return cls._intern((n, prop, filler), prop.home)
 
-    @property
-    def home(self):
-        return self.prop.home
-
-    def _make_key(self):
-        return f"(min {self.n} {self.prop._key} {self.filler._key})"
-
-
-class AtMost(Concept):
-    __slots__ = ("n", "prop", "filler")
-
-    def __new__(cls, n: int, prop: Property, filler: Concept):
-        if n < 0:
-            raise ModelError("at-most restriction needs n >= 0")
-        return cls._intern((n, prop, filler))
-
-    @property
-    def home(self):
-        return self.prop.home
+    def map(self, f, cls=None):
+        return (cls or type(self))(self.n, self.prop, f(self.filler))
 
     def _make_key(self):
-        return f"(max {self.n} {self.prop._key} {self.filler._key})"
+        return f"({self.op} {self.n} {self.prop._key} {self.filler._key})"
+
+
+class AtLeast(NumberRestriction):
+    __slots__ = ()
+    op = "min"
+    least = 1
+
+
+class AtMost(NumberRestriction):
+    __slots__ = ()
+    op = "max"
+
+
+# each constructor by its op
+CONSTRUCTORS = {cls.op: cls for cls in (Top, Bottom, Atom, Not, And, Or,
+                                        Exists, ForAll, AtLeast, AtMost)}
 
 
 def make_and(operands: list[Concept], unit: UnitId) -> Concept:
@@ -342,46 +348,28 @@ def _flatten(c: Concept, cls) -> list[Concept]:
 # Negation normal form
 # ---------------------------------------------------------------------------
 
+# the constructor of the complement, for the constructors whose complement
+# keeps their fields
+_DUAL = {Top: Bottom, Bottom: Top, And: Or, Or: And,
+         Exists: ForAll, ForAll: Exists}
+
+
 def nnf(c: Concept) -> Concept:
     """Push negation down to atoms; idempotent."""
-    if isinstance(c, (Top, Bottom, Atom)):
+    if type(c) is not Not:
+        return c.map(nnf)
+    inner = c.operand
+    kind = type(inner)
+    if kind is Atom:
         return c
-    if isinstance(c, And):
-        return And(nnf(c.left), nnf(c.right), c.unit)
-    if isinstance(c, Or):
-        return Or(nnf(c.left), nnf(c.right), c.unit)
-    if isinstance(c, Exists):
-        return Exists(c.prop, nnf(c.filler))
-    if isinstance(c, ForAll):
-        return ForAll(c.prop, nnf(c.filler))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.n, c.prop, nnf(c.filler))
-    if isinstance(c, AtMost):
-        return AtMost(c.n, c.prop, nnf(c.filler))
-    if isinstance(c, Not):
-        inner = c.operand
-        if isinstance(inner, Atom):
-            return c
-        if isinstance(inner, Top):
-            return Bottom(inner.unit)
-        if isinstance(inner, Bottom):
-            return Top(inner.unit)
-        if isinstance(inner, Not):
-            return nnf(inner.operand)
-        if isinstance(inner, And):
-            return Or(nnf(Not(inner.left)), nnf(Not(inner.right)), inner.unit)
-        if isinstance(inner, Or):
-            return And(nnf(Not(inner.left)), nnf(Not(inner.right)), inner.unit)
-        if isinstance(inner, Exists):
-            return ForAll(inner.prop, nnf(Not(inner.filler)))
-        if isinstance(inner, ForAll):
-            return Exists(inner.prop, nnf(Not(inner.filler)))
-        if isinstance(inner, AtLeast):
-            # n >= 1 is enforced, so n-1 >= 0 is a legal at-most bound
-            return AtMost(inner.n - 1, inner.prop, nnf(inner.filler))
-        if isinstance(inner, AtMost):
-            return AtLeast(inner.n + 1, inner.prop, nnf(inner.filler))
-    raise ModelError(f"cannot normalize {c!r}")
+    if kind is Not:
+        return nnf(inner.operand)
+    if kind is AtLeast:
+        # n >= 1 is enforced, so n-1 >= 0 is a legal at-most bound
+        return AtMost(inner.n - 1, inner.prop, nnf(inner.filler))
+    if kind is AtMost:
+        return AtLeast(inner.n + 1, inner.prop, nnf(inner.filler))
+    return inner.map(neg, _DUAL[kind])
 
 
 def neg(c: Concept) -> Concept:
@@ -390,13 +378,9 @@ def neg(c: Concept) -> Concept:
 
 
 def is_nnf(c: Concept) -> bool:
-    if isinstance(c, Not):
-        return isinstance(c.operand, Atom)
-    if isinstance(c, (And, Or)):
-        return is_nnf(c.left) and is_nnf(c.right)
-    if isinstance(c, (Exists, ForAll, AtLeast, AtMost)):
-        return is_nnf(c.filler)
-    return True
+    if type(c) is Not:
+        return type(c.operand) is Atom
+    return all(map(is_nnf, c.children()))
 
 
 def subconcepts(c: Concept) -> set[Concept]:
@@ -409,11 +393,7 @@ def subconcepts(c: Concept) -> set[Concept]:
         if cur in out:
             continue
         out.add(cur)
-        if isinstance(cur, (And, Or)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, (Exists, ForAll, AtLeast, AtMost)):
-            stack.append(cur.filler)
+        stack += cur.children()
     return out
 
 
@@ -747,7 +727,7 @@ class DistributedKB:
                     elif sc.name not in self.units[sc.unit].concept_names:
                         out.append(Violation("unknown-concept",
                                              f"{sc.key()} is not declared", unit))
-                elif isinstance(sc, (Exists, ForAll, AtLeast, AtMost)):
+                elif isinstance(sc, Restriction):
                     p = sc.prop
                     if sc.filler.home != p.target:
                         out.append(Violation(
@@ -757,7 +737,7 @@ class DistributedKB:
                     if not self._property_declared(p):
                         out.append(Violation("unknown-property",
                                              f"{p.key()} is not declared", unit))
-                    if isinstance(sc, (AtLeast, AtMost)) and not self.is_simple(p):
+                    if isinstance(sc, NumberRestriction) and not self.is_simple(p):
                         out.append(Violation(
                             "non-simple",
                             f"non-simple property in number restriction {sc.key()}",

@@ -32,7 +32,6 @@ from .protocol import (
 from .tableau import (
     ADDITIONS,
     CLASH,
-    SKIPPED,
     BudgetExceeded,
     Obligation,
     Outcome,
@@ -161,10 +160,11 @@ class Peer:
         through the router and hands each item's outcome to its obligation,
         which is the item itself.  Obligations toward holed peers are not
         packaged and get no additions.  After a clash for some node, that
-        node's remaining packages are never sent: the branch is closing
-        anyway, so their answers could not change it.  With reverse updates
-        off, additions come back empty, after the cache stored them whole.
-        A budget that runs out in a serve raises through the hook."""
+        node's remaining packages are never sent and their items get no
+        additions: the branch is closing anyway, so their answers could not
+        change it.  With reverse updates off, additions come back empty,
+        after the cache stored them whole.  A budget that runs out in a
+        serve raises through the hook."""
 
         def hook(obligations: list[Obligation]):
             results = dict.fromkeys(obligations, (ADDITIONS, ()))
@@ -172,7 +172,6 @@ class Peer:
             for pkg in build_packages(obligations, self.unit, origin,
                                       self._pkg_counter, self.holes):
                 if any(ob.node in clashed_nodes for ob in pkg.items):
-                    results.update(dict.fromkeys(pkg.items, (SKIPPED, None)))
                     self.router.notify_skip(self.unit, pkg)
                     continue
                 for ob, (verdict, payload) in zip(pkg.items,

@@ -22,18 +22,14 @@ import threading
 from dataclasses import dataclass
 
 from .model import (
-    And,
     Atom,
-    AtLeast,
-    AtMost,
     Bottom,
     Concept,
     Coupling,
     DistributedKB,
-    Exists,
-    ForAll,
     Not,
-    Or,
+    NumberRestriction,
+    Restriction,
     Top,
     UnitKB,
     by_key,
@@ -66,23 +62,22 @@ BYTE_BUDGET = 64 * 1024 * 1024  # of exact answers, per projection cache
 # ---------------------------------------------------------------------------
 
 def concept_to_obj(c: Concept):
-    if isinstance(c, Top):
-        return {"op": "top", "unit": c.unit}
-    if isinstance(c, Bottom):
-        return {"op": "bot", "unit": c.unit}
-    if isinstance(c, Atom):
-        return {"op": "atom", "unit": c.unit, "name": c.name}
-    if isinstance(c, Not):
-        return {"op": "not", "arg": concept_to_obj(c.operand)}
-    if isinstance(c, (And, Or)):
-        return {"op": "and" if isinstance(c, And) else "or", "unit": c.unit,
-                "left": concept_to_obj(c.left), "right": concept_to_obj(c.right)}
-    prop = {"name": c.prop.name, "home": c.prop.home,
-            "target": c.prop.target, "inverted": c.prop.inverted}
-    ops = {Exists: "some", ForAll: "all", AtLeast: "min", AtMost: "max"}
-    obj = {"op": ops[type(c)], "prop": prop, "filler": concept_to_obj(c.filler)}
-    if isinstance(c, (AtLeast, AtMost)):
-        obj["n"] = c.n
+    obj = {"op": c.op}
+    if c.op == "not":
+        obj["arg"] = concept_to_obj(c.operand)
+    elif isinstance(c, Restriction):
+        p = c.prop
+        obj["prop"] = {"name": p.name, "home": p.home, "target": p.target,
+                       "inverted": p.inverted}
+        obj["filler"] = concept_to_obj(c.filler)
+        if isinstance(c, NumberRestriction):
+            obj["n"] = c.n
+    else:
+        obj["unit"] = c.unit
+        if c.op == "atom":
+            obj["name"] = c.name
+        for side, sub in zip(("left", "right"), c.children()):
+            obj[side] = concept_to_obj(sub)
     return obj
 
 
@@ -301,62 +296,42 @@ def _serve_items(items, requester: str, new_copy, downstream_hook):
 # ---------------------------------------------------------------------------
 
 def substitute_holes(c: Concept, holed: set[str]) -> Concept:
-    """Rewrite every constraint that talks about a holed unit into the
-    universal concept.  A full hole interprets every concept of the unit,
-    negations included, as the whole domain, so the literal as a whole
-    trivializes rather than flipping polarity."""
-    if isinstance(c, (Top, Bottom, Atom)):
-        return Top(c.unit) if c.unit in holed and not isinstance(c, Top) else c
-    if isinstance(c, Not):
-        if c.operand.home in holed:
-            return Top(c.operand.home)
-        return Not(substitute_holes(c.operand, holed))
-    if isinstance(c, (And, Or)):
-        cls = And if isinstance(c, And) else Or
-        return cls(substitute_holes(c.left, holed),
-                   substitute_holes(c.right, holed), c.unit)
-    if c.prop.target in holed or c.prop.home in holed:
-        return Top(c.prop.home)
-    cls = type(c)
-    if isinstance(c, (AtLeast, AtMost)):
-        return cls(c.n, c.prop, substitute_holes(c.filler, holed))
-    return cls(c.prop, substitute_holes(c.filler, holed))
+    """Rewrite every constraint of an NNF concept that talks about a holed
+    unit into the universal concept.  A full hole interprets every concept
+    of the unit, negations included, as the whole domain, so the literal as
+    a whole trivializes rather than flipping polarity."""
+    if isinstance(c, Restriction) and (c.prop.target in holed
+                                       or c.home in holed):
+        return Top(c.home)
+    if c.children():
+        return c.map(lambda sub: substitute_holes(sub, holed))
+    return Top(c.home) if c.home in holed and c.op != "top" else c
 
 
 def simplify(c: Concept) -> Concept:
     """Boolean identity simplification, used after hole substitution."""
-    if isinstance(c, And):
-        l, r = simplify(c.left), simplify(c.right)
-        if isinstance(l, Top):
+    c = c.map(simplify)
+    op = c.op
+    if op == "and":
+        l, r = c.left, c.right
+        if l.op == "top":
             return r
-        if isinstance(r, Top):
+        if r.op == "top":
             return l
-        if isinstance(l, Bottom) or isinstance(r, Bottom):
+        if "bot" in (l.op, r.op):
             return Bottom(c.unit)
-        return And(l, r, c.unit)
-    if isinstance(c, Or):
-        l, r = simplify(c.left), simplify(c.right)
-        if isinstance(l, Top) or isinstance(r, Top):
+    elif op == "or":
+        l, r = c.left, c.right
+        if "top" in (l.op, r.op):
             return Top(c.unit)
-        if isinstance(l, Bottom):
+        if l.op == "bot":
             return r
-        if isinstance(r, Bottom):
+        if r.op == "bot":
             return l
-        return Or(l, r, c.unit)
-    if isinstance(c, (Exists, AtLeast)):
-        filler = simplify(c.filler)
-        if isinstance(filler, Bottom):
-            return Bottom(c.prop.home)
-        if isinstance(c, Exists):
-            return Exists(c.prop, filler)
-        return AtLeast(c.n, c.prop, filler)
-    if isinstance(c, ForAll):
-        filler = simplify(c.filler)
-        if isinstance(filler, Top):
-            return Top(c.prop.home)
-        return ForAll(c.prop, filler)
-    if isinstance(c, AtMost):
-        return AtMost(c.n, c.prop, simplify(c.filler))
+    elif op in ("some", "min") and c.filler.op == "bot":
+        return Bottom(c.home)
+    elif op == "all" and c.filler.op == "top":
+        return Top(c.home)
     return c
 
 

@@ -129,12 +129,10 @@ class Outcome(Enum):
     UNSATISFIABLE = "unsatisfiable"
 
 
-# projection outcome verdicts, one per obligation or package item.  A serve
-# never answers SKIPPED, and a budget that runs out raises instead of
-# answering
+# projection outcome verdicts, one per obligation or package item.  A
+# budget that runs out raises instead of answering
 CLASH = "clash"
 ADDITIONS = "additions"
-SKIPPED = "skipped"
 
 # payload marker on a clash outcome that was attributed to a whole package
 # rather than confirmed for the item alone
@@ -475,7 +473,10 @@ class CompletionGraph:
         return False
 
     def _edge_labels(self, a: NodeId, b: NodeId) -> frozenset[Property]:
-        return frozenset(self.out_e.get(a, {}).get(b, set()))
+        """The properties of the edges from a to b, an edge stored from b
+        to a counting as its role's inverse."""
+        return frozenset(self.out_e[a].get(b, ())).union(
+            p.inverse() for p in self.in_e[a].get(b, ()) if p.is_role)
 
     # -- clash detection ---------------------------------------------------------
 
@@ -981,11 +982,11 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None) -> Outcome:
     and fold the responses back in, until nothing changes anywhere.
 
     The hook takes a list of Obligations and returns a list of
-    (CLASH, payload), (ADDITIONS, tuple-of-literals) or (SKIPPED, None)
-    outcomes aligned with it, applied in place: each but SKIPPED marks its
-    fragment sent, additions join the node's label, and the first clash
-    puts Bottom there and ends the round, which sends the engine back into
-    backjumping.
+    (CLASH, payload) or (ADDITIONS, tuple-of-literals) outcomes aligned
+    with it, applied in place: each marks its fragment sent, additions join
+    the node's label, and the first clash puts Bottom there and ends the
+    round: the next local step backjumps past the round, and the trail
+    undoes its marks, or finds the graph closed.
 
     A clash confirmed for the item alone depends on the item's fragment; a
     JOINT clash, on every open branch point.  Additions depend on the
@@ -1004,8 +1005,6 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None) -> Outcome:
                                      | g.nodes[ob.node].cdeps)
         for ob, (verdict, payload) in zip(obligations,
                                           projection_hook(obligations)):
-            if verdict == SKIPPED:
-                continue
             mark_sent(g, ob)
             if verdict == CLASH:
                 g.add_label(ob.node, Bottom(g.unit),

@@ -217,9 +217,12 @@ _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
      "link e has undeclared parent nosuch toward u2"),
     ({"links": [{"name": "e", "target_unit": "u2", "parents": [1]}]},
      r"link parents \[1\] are not all names"),
+    ({"links": [{"name": "e", "target_unit": "u2", "transitive": "false"}]},
+     "link transitive 'false' is not a boolean"),
 ], ids=["rule-without-source", "correspondence-without-foreign",
         "assertion-without-link", "rule-as-string", "mappings-not-a-list",
-        "parents-not-a-list", "undeclared-parent", "parent-not-a-name"])
+        "parents-not-a-list", "undeclared-parent", "parent-not-a-name",
+        "transitive-not-a-boolean"])
 def test_malformed_coupling_entry_fails_to_load(coupling, named):
     with pytest.raises(LoadError, match=named):
         load_kb(_TWO_UNITS, [{"unit": "u1", **coupling}])
@@ -292,3 +295,28 @@ def test_fixture_kbs_validate():
     for build in (articles_linked_kb, articles_overlap_kb,
                   conference_triangle_kb, conference_square_kb):
         assert build().validate() == []
+
+
+def test_serialized_constructors_are_pinned():
+    # one axiom per concept constructor, a foreign atom and an inverse role
+    text = """(unit u1)
+(concept A)
+(concept B)
+(role r)
+(individual a)
+(individual b)
+(sub A (all (inv r) B))
+(sub A (and B u2:C))
+(sub A (max 1 (inv r) top))
+(sub A (min 2 r B))
+(sub A (not B))
+(sub A (or B (not A)))
+(sub A (some e u2:C))
+(sub A (some r B))
+(sub A top)
+(sub bot A)
+(instance a (or A bot))
+(related a (inv r) b)
+"""
+    assert serialize_unit(parse_unit(text)) == text
+

@@ -33,6 +33,25 @@ def test_nnf_number_duality():
     assert nnf(c2) == AtMost(0, R, A)
 
 
+@pytest.mark.parametrize("negated,golden", [
+    (Top("u1"), "u1:*bot*"),
+    (Bottom("u1"), "u1:*top*"),
+    (A, "(not u1:A)"),
+    (Not(A), "u1:A"),
+    (And(A, Not(B), "u1"), "(or@u1 (not u1:A) u1:B)"),
+    (Or(Not(A), B, "u1"), "(and@u1 u1:A (not u1:B))"),
+    (Exists(R, Not(A)), "(all u1:r u1:A)"),
+    (ForAll(R.inverse(), B), "(some inv u1:r (not u1:B))"),
+    (AtLeast(1, R, Not(A)), "(max 0 u1:r (not u1:A))"),
+    (AtMost(2, Property("e", "u1", "u2"), Not(Atom("u2", "D"))),
+     "(min 3 u1:e->u2 (not u2:D))"),
+], ids=["top", "bot", "atom", "not", "and", "or", "some", "all", "min",
+        "max"])
+def test_nnf_of_each_negated_constructor(negated, golden):
+    assert nnf(Not(negated)).key() == golden
+    assert neg(negated).key() == golden
+
+
 def test_atleast_zero_rejected():
     with pytest.raises(ModelError):
         AtLeast(0, R, A)
@@ -304,10 +323,10 @@ def test_copy_and_pickle_keep_identity():
     import pickle
 
     c = make_or([ForAll(R, B), AtLeast(2, E, D)], "u1")
-    assert copy.copy(c) is c
-    assert copy.deepcopy(c) is c
-    assert pickle.loads(pickle.dumps(c)) is c
-    assert pickle.loads(pickle.dumps(R.inverse())) is R.inverse()
+    for value in [build() for build, _ in _SAMPLES] + [c]:
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
 
 
 def test_unreferenced_values_leave_the_table():

@@ -11,7 +11,7 @@ from ontomesh.peer import (
     HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
 )
 from ontomesh.protocol import ProjectionCache, ProjectionPackage, ProtocolError
-from ontomesh.tableau import ADDITIONS, CLASH, SKIPPED, Obligation
+from ontomesh.tableau import ADDITIONS, CLASH, Obligation
 
 from figures import (
     articles_linked_kb, articles_overlap_kb, chain_kb, conference_square_kb,
@@ -559,11 +559,11 @@ def test_hook_maps_each_package_answer_to_its_obligation(monkeypatch):
             for k, item in enumerate(pkg.items):
                 i, = [i for i, ob in enumerate(obligations)
                       if (ob.dest_unit, ob.node) == (pkg.to, item.node)]
-                want[i] = ((SKIPPED, None) if pkg.id == skipped
+                want[i] = ((ADDITIONS, ()) if pkg.id == skipped
                            else call["answers"][pkg.id][k])
         assert call["results"] == want
         verdicts.update(v for v, _ in want)
-    assert verdicts == {ADDITIONS, CLASH, SKIPPED}
+    assert verdicts == {ADDITIONS, CLASH}
 
 
 def test_hook_answers_by_item_and_gives_holed_peers_no_additions():

@@ -142,3 +142,54 @@ def test_serve_ships_forced_literals_derived_after_a_choice():
     assert asked and set(asked) == {"u3"}
     assert outcomes == ((ADDITIONS, (Atom("u1", "Z"), Atom("u3", "Q"))),
                         (ADDITIONS, ()))
+
+
+# -- holes ---------------------------------------------------------------------
+
+def test_hole_rewrite_is_pinned():
+    # every rule of substitute_holes and simplify, with u4 holed
+    from ontomesh.model import DistributedKB, Coupling, UnitKB
+    from ontomesh.protocol import handle_hole
+
+    A, X = Atom("u1", "A"), Atom("u4", "X")
+    r, f = Property("r", "u1", "u1"), Property("f", "u1", "u2")
+    to_hole, in_hole = Property("e", "u1", "u4"), Property("s", "u4", "u4")
+    bot2 = Bottom("u2")
+    rhs = [
+        Top("u4"), Bottom("u4"), X, Not(X), Not(B),
+        Exists(to_hole, X), AtMost(0, to_hole, X), Exists(in_hole, X),
+        And(X, B, "u1"), And(B, X, "u1"), And(X, bot2, "u1"),
+        And(bot2, A, "u1"), And(A, bot2, "u1"), And(A, B, "u1"),
+        Or(X, A, "u1"), Or(A, X, "u1"), Or(bot2, X, "u1"),
+        Or(bot2, A, "u1"), Or(A, bot2, "u1"), Or(A, B, "u1"),
+        Exists(f, bot2), Exists(f, B), AtLeast(2, f, bot2),
+        AtLeast(1, f, B), ForAll(f, Top("u2")), ForAll(r, Or(A, X, "u1")),
+        ForAll(r, A), AtMost(1, r, And(A, X, "u1")),
+        And(Or(bot2, A, "u1"), ForAll(r, X), "u1"),
+    ]
+    units = {
+        "u1": UnitKB(unit="u1", gcis=[(A, c) for c in rhs],
+                     concept_assertions=[("a", Or(X, A, "u1"))]),
+        "u2": UnitKB(unit="u2", gcis=[(B, Or(X, D, "u2"))]),
+        "u4": UnitKB(unit="u4", gcis=[(X, Top("u4"))]),
+    }
+    couplings = {"u1": Coupling("u1", links=[])}
+    kb = handle_hole(DistributedKB.build(units, couplings), {"u4"})
+    assert sorted(kb.units) == ["u1", "u2"]
+    assert [r.key() for _, r in kb.units["u1"].gcis] == [
+        "u4:*top*", "u4:*top*", "u4:*top*", "u4:*top*", "(not u2:B)",
+        "u1:*top*", "u1:*top*", "u4:*top*",
+        "u2:B", "u2:B", "u2:*bot*",
+        "u1:*bot*", "u1:*bot*", "(and@u1 u1:A u2:B)",
+        "u1:*top*", "u1:*top*", "u1:*top*",
+        "u1:A", "u1:A", "(or@u1 u1:A u2:B)",
+        "u1:*bot*", "(some u1:f->u2 u2:B)", "u1:*bot*",
+        "(min 1 u1:f->u2 u2:B)", "u1:*top*", "u1:*top*",
+        "(all u1:r u1:A)", "(max 1 u1:r u1:A)",
+        "u1:A",
+    ]
+    assert {l.key() for l, _ in kb.units["u1"].gcis} == {"u1:A"}
+    assert [(i, c.key()) for i, c in kb.units["u1"].concept_assertions] == [
+        ("a", "u1:*top*")]
+    assert [(l.key(), r.key()) for l, r in kb.units["u2"].gcis] == [
+        ("u2:B", "u2:*top*")]

@@ -275,6 +275,24 @@ def test_blocking_terminates_cyclic_gci():
     assert any(g.blocked(x) == "direct" for x in g.nodes)
 
 
+@pytest.mark.parametrize("last,kind", [("s", ""), ("r", "direct")])
+def test_pairwise_blocking_tells_inverse_roles_apart(last, kind):
+    # 0 -(inv r)-> 1 -r-> 2 -(inv last)-> 3, labelled A B A B: node 3 and
+    # its parent repeat node 1 and its parent, but the edge into 3 must
+    # carry the same role as the edge into 1
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)\n(role s)")
+    g = tableau.CompletionGraph(kb, "u1")
+    a, b = Atom("u1", "A"), Atom("u1", "B")
+    r = Property("r", "u1", "u1")
+    g.add_label(g.new_node(("root",)).id, a)
+    edges = [r.inverse(), r, Property(last, "u1", "u1").inverse()]
+    for x, (prop, c) in enumerate(zip(edges, (b, a, b))):
+        y = g.new_node(("generated", x), parent=x).id
+        g.add_edge(x, y, prop)
+        g.add_label(y, c)
+    assert g.blocked(3) == kind
+
+
 def test_budget_exceeded_is_distinct(monkeypatch):
     monkeypatch.setattr(tableau, "MAX_NODES", 1)
     kb = _kb("(unit u1)\n(concept A)\n(role r)\n(sub A (some r A))")
