@@ -1,7 +1,9 @@
 """Parsers and serializers for unit documents and coupling documents.
 
 A unit document is a line-oriented s-expression DSL; a coupling document is
-JSON.  Parsing is strict: unknown forms, bad arities and malformed names
+JSON.  A form closes on the line where it opens, and ";" starts a comment
+that runs to the end of the line; parse_concept reads its expression the
+same way.  Parsing is strict: unknown forms, bad arities and malformed names
 raise ParseError with line and column.  serialize_unit(parse_unit(x)) is a
 fixpoint and its output is byte-deterministic for a given unit.
 """
@@ -34,7 +36,8 @@ from .model import (
     nnf,
 )
 
-NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_TOKEN_RE = re.compile(r"[()]|[^\s();]+")
 
 
 class ParseError(Exception):
@@ -60,7 +63,7 @@ class LoadError(Exception):
 # s-expression reader
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Tok:
     text: str
     line: int
@@ -72,47 +75,32 @@ class _Form(list):
 
     __slots__ = ("line", "col")
 
-    def __init__(self, tok: _Tok):
-        self.line, self.col = tok.line, tok.col
+    def __init__(self, line: int, col: int):
+        self.line, self.col = line, col
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ";":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            toks.append(_Tok(ch, line_no, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "();":
-            j += 1
-        toks.append(_Tok(text[i:j], line_no, i + 1))
-        i = j
-    return toks
-
-
-def _read_form(toks: list[_Tok], pos: int):
-    tok = toks[pos]
-    if tok.text == "(":
-        items = _Form(tok)
-        pos += 1
-        while True:
-            if pos >= len(toks):
-                raise ParseError("missing )", tok.line, tok.col)
-            if toks[pos].text == ")":
-                return items, pos + 1
-            item, pos = _read_form(toks, pos)
-            items.append(item)
-    if tok.text == ")":
-        raise ParseError("unexpected )", tok.line, tok.col)
-    return tok, pos + 1
+def _read_forms(text: str) -> list:
+    """The top-level forms and bare names of a document, in order.  Each
+    line is read up to its first ";" with a stack of open forms whose
+    bottom is the result, so a form must close on the line it opens."""
+    forms: list = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        stack = [forms]
+        for m in _TOKEN_RE.finditer(raw.partition(";")[0]):
+            t = m.group()
+            if t == "(":
+                form = _Form(ln, m.start() + 1)
+                stack[-1].append(form)
+                stack.append(form)
+            elif t == ")":
+                if len(stack) == 1:
+                    raise ParseError("unexpected )", ln, m.start() + 1)
+                stack.pop()
+            else:
+                stack[-1].append(_Tok(t, ln, m.start() + 1))
+        if len(stack) > 1:
+            raise ParseError("missing )", stack[-1].line, stack[-1].col)
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +113,7 @@ def _qname(tok: _Tok, current: str) -> tuple[str, str]:
         unit, name = text.split(":", 1)
     else:
         unit, name = current, text
-    if not unit or not NAME_RE.match(name):
+    if not unit or not NAME_RE.fullmatch(name):
         raise ParseError(f"bad name {text!r}", tok.line, tok.col)
     return unit, name
 
@@ -135,18 +123,11 @@ class _UnitParser:
         self.kb: UnitKB | None = None
 
     def parse(self, text: str) -> UnitKB:
-        forms = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            toks = _tokenize_line(raw, ln)
-            pos = 0
-            while pos < len(toks):
-                form, pos = _read_form(toks, pos)
-                forms.append(form)
-        unit_forms = [f for f in forms
-                      if isinstance(f, list) and f and _head(f) == "unit"]
+        forms = _read_forms(text)
+        unit_forms = [f for f in forms if _head(f) == "unit"]
         if len(unit_forms) != 1:
             # at the second (unit form, else at the first form, else at 1:1
-            at = (unit_forms[1:] or forms or [_Tok("", 1, 1)])[0]
+            at = (unit_forms[1:] or forms or [_Form(1, 1)])[0]
             raise ParseError("a unit document needs exactly one (unit NAME) form",
                              at.line, at.col)
         unit_name = self._name_arg(unit_forms[0], "unit")
@@ -167,7 +148,7 @@ class _UnitParser:
             raise ParseError(f"({head} NAME) takes one name",
                              form[0].line, form[0].col)
         name = form[1].text
-        if not NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             raise ParseError(f"bad name {name!r}", form[1].line, form[1].col)
         return name
 
@@ -183,9 +164,9 @@ class _UnitParser:
         pool.add(name)
 
     def _statement(self, form):
-        if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-            raise ParseError("expected a (...) form", form.line, form.col)
         head = _head(form)
+        if not head:
+            raise ParseError("expected a (...) form", form.line, form.col)
         tok = form[0]
         if head == "sub":
             lhs, rhs = self._two_concepts(form)
@@ -197,32 +178,32 @@ class _UnitParser:
         elif head == "subrole":
             if len(form) != 3:
                 raise ParseError("(subrole P P)", tok.line, tok.col)
-            sub = self._local_role_name(form[1])
-            sup = self._local_role_name(form[2])
+            sub = self._local_name(form[1], "a role")
+            sup = self._local_name(form[2], "a role")
             self.kb.role_inclusions.append((sub, sup))
         elif head == "transitive":
             if len(form) != 2:
                 raise ParseError("(transitive P)", tok.line, tok.col)
-            self.kb.transitive_roles.add(self._local_role_name(form[1]))
+            self.kb.transitive_roles.add(self._local_name(form[1], "a role"))
         elif head == "instance":
             if len(form) != 3 or not isinstance(form[1], _Tok):
                 raise ParseError("(instance IND CEXPR)", tok.line, tok.col)
-            ind = self._local_individual(form[1])
+            ind = self._local_name(form[1], "an individual")
             self.kb.concept_assertions.append(
                 (ind, nnf(self._concept(form[2]))))
         elif head == "related":
             if len(form) != 4 or not isinstance(form[1], _Tok) \
                     or not isinstance(form[3], _Tok):
                 raise ParseError("(related IND P IND)", tok.line, tok.col)
-            a = self._local_individual(form[1])
+            a = self._local_name(form[1], "an individual")
             p = self._property(form[2])
-            b = self._local_individual(form[3])
+            b = self._local_name(form[3], "an individual")
             self.kb.role_assertions.append((a, p, b))
         elif head == "different":
             if len(form) != 3:
                 raise ParseError("(different IND IND)", tok.line, tok.col)
-            a = self._local_individual(form[1])
-            b = self._local_individual(form[2])
+            a = self._local_name(form[1], "an individual")
+            b = self._local_name(form[2], "an individual")
             self.kb.inequalities.append((a, b))
         else:
             raise ParseError(f"unknown form {head!r}", tok.line, tok.col)
@@ -233,20 +214,14 @@ class _UnitParser:
                              form[0].line, form[0].col)
         return nnf(self._concept(form[1])), nnf(self._concept(form[2]))
 
-    def _local_role_name(self, tok) -> str:
+    def _local_name(self, tok, what: str) -> str:
+        """The name of a local role, individual or property; `what` is "a
+        role", "an individual" or "a property"."""
         if not isinstance(tok, _Tok):
-            raise ParseError("expected a role name", tok.line, tok.col)
+            raise ParseError(f"expected {what} name", tok.line, tok.col)
         unit, name = _qname(tok, self.kb.unit)
         if unit != self.kb.unit:
-            raise ParseError(f"role {tok.text!r} must be local", tok.line, tok.col)
-        return name
-
-    def _local_individual(self, tok) -> str:
-        if not isinstance(tok, _Tok):
-            raise ParseError("expected an individual name", tok.line, tok.col)
-        unit, name = _qname(tok, self.kb.unit)
-        if unit != self.kb.unit:
-            raise ParseError(f"individual {tok.text!r} must be local",
+            raise ParseError(f"{what.split()[1]} {tok.text!r} must be local",
                              tok.line, tok.col)
         return name
 
@@ -260,9 +235,9 @@ class _UnitParser:
                                  form.line, form.col)
             if len(form) != 2:
                 raise ParseError("(inv ROLE)", form.line, form.col)
-            name = self._local_role_name(form[1])
+            name = self._local_name(form[1], "a role")
             return Property(name, self.kb.unit, self.kb.unit, inverted=True)
-        name = self._local_role_name(form)
+        name = self._local_name(form, "a role")
         return Property(name, self.kb.unit, self.kb.unit)
 
     def _restriction_property(self, form, filler: Concept) -> Property:
@@ -270,10 +245,7 @@ class _UnitParser:
         decides between the role and the link reading of a punned name."""
         if isinstance(form, list):
             return self._property(form)  # (inv R), always a role
-        unit, name = _qname(form, self.kb.unit)
-        if unit != self.kb.unit:
-            raise ParseError(f"property {form.text!r} must be local",
-                             form.line, form.col)
+        name = self._local_name(form, "a property")
         return Property(name, self.kb.unit, filler.home)
 
     def _concept(self, form) -> Concept:
@@ -283,9 +255,9 @@ class _UnitParser:
                 return CONSTRUCTORS[form.text](u)
             unit, name = _qname(form, u)
             return Atom(unit, name)
-        if not form or not isinstance(form[0], _Tok):
-            raise ParseError("bad concept expression", form.line, form.col)
         head = _head(form)
+        if not head:
+            raise ParseError("bad concept expression", form.line, form.col)
         tok = form[0]
         if head == "not":
             if len(form) != 2:
@@ -336,18 +308,15 @@ def parse_unit(text: str) -> UnitKB:
 
 def parse_concept(text: str, unit: str) -> Concept:
     """Parse a single concept expression in the context of one unit."""
-    toks = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        toks.extend(_tokenize_line(raw, ln))
-    if not toks:
+    forms = _read_forms(text)
+    if not forms:
         raise ParseError("empty concept expression", 1, 1)
-    form, pos = _read_form(toks, 0)
-    if pos != len(toks):
+    if len(forms) > 1:
         raise ParseError("trailing tokens after concept expression",
-                         toks[pos].line, toks[pos].col)
+                         forms[1].line, forms[1].col)
     parser = _UnitParser()
     parser.kb = UnitKB(unit=unit)
-    return nnf(parser._concept(form))
+    return nnf(parser._concept(forms[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +432,9 @@ def parse_coupling(document: str | dict) -> Coupling:
                 IndividualCorrespondence(fu, fn, ln))
 
     for ld in section(doc, "links"):
-        entry("link", ld, "name", "target_unit")
+        name = entry("link", ld, "name", "target_unit")["name"]
+        if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+            raise SchemaError(f"link name {name!r} is not a name")
         parents = tuple(section(ld, "parents"))
         if not all(isinstance(p, str) for p in parents):
             raise SchemaError(f"link parents {list(parents)!r} are not all names")
@@ -471,7 +442,7 @@ def parse_coupling(document: str | dict) -> Coupling:
         if not isinstance(transitive, bool):
             raise SchemaError(f"link transitive {transitive!r} is not a boolean")
         coup.links.append(LinkDecl(
-            name=str(ld["name"]),
+            name=name,
             target_unit=str(ld["target_unit"]),
             transitive=transitive,
             parents=parents))

@@ -295,6 +295,12 @@ class LoopbackSession:
             if not self.config.use_cache:
                 p.cache = ProjectionCache()
 
+    def _ready_peer(self, unit: UnitId) -> Peer:
+        peer = self.peers.get(unit)
+        if peer is None or peer.phase != READY:
+            raise ProtocolError(f"unit {unit} is not available for reasoning")
+        return peer
+
     def _ready_peers(self):
         return [self.peers[u] for u in self.kb.unit_order
                 if self.peers[u].phase == READY]
@@ -350,11 +356,8 @@ class LoopbackSession:
         if _task:
             self._begin_task()
         goal = simplify(substitute_holes(nnf(goal), self.holes))
-        home = goal.home
-        if home in self.holes or home not in self.peers \
-                or self.peers[home].phase != READY:
-            raise ProtocolError(f"unit {home} is not available for reasoning")
-        return self._expand(self.peers[home], goal) is Outcome.COMPLETE
+        return self._expand(self._ready_peer(goal.home), goal) \
+            is Outcome.COMPLETE
 
     def is_subsumed(self, sub: Atom, sup: Atom, _task: bool = True) -> bool:
         if sub.unit != sup.unit:
@@ -367,8 +370,7 @@ class LoopbackSession:
         a hierarchy with equivalence classes collapsed."""
         self.ensure_consistent()
         self._begin_task()
-        if unit in self.holes:
-            raise ProtocolError(f"unit {unit} is holed")
+        self._ready_peer(unit)
         names = sorted(self.kb.units[unit].concept_names)
         below: dict[str, set[str]] = {a: set() for a in names}
         for a in names:

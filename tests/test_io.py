@@ -12,8 +12,8 @@ from ontomesh.model import (
 )
 
 from figures import (
-    articles_linked_kb, articles_overlap_kb, conference_square_kb,
-    conference_triangle_kb,
+    articles_linked_kb, articles_overlap_kb, chain_kb, conference_square_kb,
+    conference_triangle_kb, transitive_abox_kb,
 )
 
 
@@ -86,6 +86,45 @@ def test_malformed_forms_carry_position(line, message):
         parse_unit(f"(unit u1)\n(concept A) (role r)\n{line}\n")
     assert err.value.line == 3 and err.value.col > 0
     assert str(err.value).endswith(message)
+
+
+_DECLARED = "(unit u1)\n(concept A) (concept B) (role r)\n"
+
+
+@pytest.mark.parametrize("text, message, at", [
+    ("(sub A B))", "unexpected )", (3, 10)),
+    (")", "unexpected )", (3, 1)),
+    ("(sub A (some r B)", "missing )", (3, 1)),
+    ("(sub A (some r B", "missing )", (3, 8)),
+    ("(sub A\n B)", "missing )", (3, 1)),
+    ("A;B", "expected a (...) form", (3, 1)),
+], ids=["extra-close", "lone-close", "outer-open", "inner-open",
+        "form-across-lines", "name-before-comment"])
+def test_reader_errors_carry_position(text, message, at):
+    with pytest.raises(ParseError) as err:
+        parse_unit(_DECLARED + text)
+    assert str(err.value).endswith(message)
+    assert (err.value.line, err.value.col) == at
+
+
+@pytest.mark.parametrize("text", [
+    "(sub A(not B)) ; trailing (",
+    "\t(sub A   (not B))",
+    "(sub A B);(sub B A)",
+], ids=["comment-after-form", "tabs-and-spaces", "comment-after-close"])
+def test_reader_splits_tokens_and_comments(text):
+    assert len(parse_unit(_DECLARED + text).gcis) == 1
+
+
+@pytest.mark.parametrize("text, message, at", [
+    ("(and A\n B)", "missing )", (1, 1)),
+    ("(and A B))", "unexpected )", (1, 10)),
+], ids=["concept-across-lines", "extra-close-after-concept"])
+def test_concept_is_read_like_a_unit_form(text, message, at):
+    with pytest.raises(ParseError) as err:
+        parse_concept(text, "u1")
+    assert str(err.value).endswith(message)
+    assert (err.value.line, err.value.col) == at
 
 
 def test_trailing_concept_tokens_carry_position():
@@ -219,10 +258,17 @@ _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
      r"link parents \[1\] are not all names"),
     ({"links": [{"name": "e", "target_unit": "u2", "transitive": "false"}]},
      "link transitive 'false' is not a boolean"),
+    ({"links": [{"name": ["e"], "target_unit": "u2"}]},
+     r"link name \['e'\] is not a name"),
+    ({"links": [{"name": "bad name", "target_unit": "u2"}]},
+     "link name 'bad name' is not a name"),
+    ({"links": [{"name": "e\n", "target_unit": "u2"}]},
+     r"link name 'e\\n' is not a name"),
 ], ids=["rule-without-source", "correspondence-without-foreign",
         "assertion-without-link", "rule-as-string", "mappings-not-a-list",
         "parents-not-a-list", "undeclared-parent", "parent-not-a-name",
-        "transitive-not-a-boolean"])
+        "transitive-not-a-boolean", "name-not-a-string", "name-with-space",
+        "name-with-newline"])
 def test_malformed_coupling_entry_fails_to_load(coupling, named):
     with pytest.raises(LoadError, match=named):
         load_kb(_TWO_UNITS, [{"unit": "u1", **coupling}])
@@ -284,6 +330,24 @@ def test_canonical_serialization_is_deterministic():
         assert serialize_unit(kb1.units[u]) == serialize_unit(kb2.units[u])
         assert (serialize_coupling(kb1.couplings[u])
                 == serialize_coupling(kb2.couplings[u]))
+
+
+@pytest.mark.parametrize("build", [
+    articles_linked_kb, articles_overlap_kb, conference_triangle_kb,
+    conference_square_kb, lambda: transitive_abox_kb(None),
+    lambda: transitive_abox_kb(2), chain_kb,
+], ids=["linked", "overlap", "triangle", "square", "abox-consistent",
+        "abox-inconsistent", "chain"])
+def test_fixture_kb_round_trips_through_documents(build):
+    kb = build()
+    units = [serialize_unit(kb.units[u]) for u in kb.unit_order]
+    couplings = [serialize_coupling(kb.couplings[u]) for u in kb.unit_order]
+    again = load_kb(units, couplings)
+    assert [serialize_unit(again.units[u]) for u in kb.unit_order] == units
+    assert [serialize_coupling(again.couplings[u])
+            for u in kb.unit_order] == couplings
+    for u in kb.unit_order:
+        assert again.internalization(u) is kb.internalization(u)
 
 
 def test_parse_concept_in_context():

@@ -217,6 +217,22 @@ def test_goal_in_holed_unit_rejected():
         s.is_satisfiable(parse_concept("C", "u1"))
 
 
+@pytest.mark.parametrize("unit", ["u1", "nope"], ids=["holed", "unknown"])
+def test_classify_needs_a_ready_unit(unit):
+    kb = load_kb(["""
+(unit u1)
+(concept C)
+(individual a)
+(sub C (not C))
+(instance a C)
+""", "(unit u2)\n(concept X)"])
+    s = _session(kb)
+    with pytest.raises(ProtocolError):
+        s.classify(unit)
+    with pytest.raises(ProtocolError):
+        s.is_satisfiable(Atom(unit, "C"))
+
+
 # -- metrics and cache -------------------------------------------------------------
 
 def test_metrics_fresh_peer_all_zero():
