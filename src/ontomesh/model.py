@@ -691,12 +691,15 @@ class DistributedKB:
 
     def label_universe(self, goal: Concept | None = None) -> set[Concept]:
         """What a node label may hold: every sub-expression of the goal, of
-        each unit's internalization (bridges included) and of its absorbed
-        GCIs, the value restrictions the forall-plus rule adds, and the NNF
-        complements of every member.  Used by the audit."""
+        each unit's internalization (bridges included), of its absorbed
+        GCIs and of its concept assertions, the value restrictions the
+        forall-plus rule adds, and the NNF complements of every member.
+        Used by the audit."""
         out: set[Concept] = set()
         for u in self.unit_order:
             out |= subconcepts(self.internalization(u))
+            for _, c in self.units[u].concept_assertions:
+                out |= subconcepts(nnf(c))
             for a, rhs in self.absorbed(u).items():
                 out.add(a)
                 for c in rhs:
@@ -790,7 +793,10 @@ class DistributedKB:
                                              f"{atom.key()} is not declared", u))
             declared = {(l.name, l.target_unit) for l in coup.links}
             for ld in coup.links:
-                if ld.target_unit not in self.units:
+                if ld.target_unit == u:
+                    out.append(Violation("link-target",
+                                         f"link {ld.name} targets its holder", u))
+                elif ld.target_unit not in self.units:
                     out.append(Violation("unknown-unit",
                                          f"link {ld.name} targets {ld.target_unit}", u))
                 if ld.transitive and ld.name not in self.units[u].role_names:
@@ -804,7 +810,12 @@ class DistributedKB:
                             "unknown-property", f"link {ld.name} has undeclared "
                             f"parent {parent} toward {ld.target_unit}", u))
             for ic in coup.individual_correspondences:
-                if ic.foreign_unit not in self.units:
+                if ic.foreign_unit == u:
+                    out.append(Violation(
+                        "correspondence-source",
+                        f"{u}:{ic.foreign_name} = {u}:{ic.local_name} "
+                        "is not foreign", u))
+                elif ic.foreign_unit not in self.units:
                     out.append(Violation("unknown-unit",
                                          f"correspondence names unit {ic.foreign_unit}", u))
                 elif ic.foreign_name not in self.units[ic.foreign_unit].individual_names:

@@ -2,12 +2,14 @@
 
 A peer owns one unit.  It initializes by checking its own knowledge in
 isolation (everything foreign read as the universal concept); consistent
-peers freeze their ABox skeleton and join the communication phase, while
-inconsistent ones declare a hole and drop out.  Reasoning tasks run a goal
-graph at the goal's home peer; projection packages flow between peers
-through a router, are answered against working copies, and are cached by
-the sender.  The skeleton is closed under the deterministic rules the first
-time a task or serve needs it, so no copy repeats that work.
+peers join the communication phase, while inconsistent ones drop out as
+holes.  The session owns the hole set: it rewrites the holed units out of
+the KB once and hands that view to every ready peer, which freezes its ABox
+skeleton over it.  Reasoning tasks run a goal graph at the goal's home
+peer; projection packages flow between peers through a router, are
+answered against working copies, and are cached by the sender.  The
+skeleton is closed under the deterministic rules the first time a task or
+serve needs it, so no copy repeats that work.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .protocol import (
     ProjectionPackage,
     ProtocolError,
     build_packages,
+    drop_holes,
     handle_hole,
     serve_package,
-    substitute_holes,
-    simplify,
 )
 from .tableau import (
     ADDITIONS,
@@ -95,8 +96,7 @@ class Peer:
         self.unit = unit
         self.config = config or PeerConfig()
         self.phase: str | None = None        # READY or HOLED once initialized
-        self.holes: set[str] = set()
-        self.skeleton = None                 # hole-adjusted, frozen at init
+        self.skeleton = None                 # over the session's view
         self._skeleton_closed = False
         self.metrics = Metrics()
         self.cache = ProjectionCache()
@@ -125,15 +125,11 @@ class Peer:
         self.phase = HOLED if outcome is Outcome.UNSATISFIABLE else READY
         return self.phase
 
-    def adopt_holes(self, holed: set[str]):
-        """Freeze the working view and skeleton once the hole set is known;
+    def adopt(self, view: DistributedKB):
+        """Freeze the skeleton over the session's hole-adjusted view;
         raises InconclusiveError when the skeleton outgrows the budget."""
-        if self.phase != READY:
-            return
-        self.holes = set(holed)
         try:
-            self.skeleton = init_graph(handle_hole(self.kb_full, self.holes),
-                                       self.unit)
+            self.skeleton = init_graph(view, self.unit)
         except BudgetExceeded as e:
             raise InconclusiveError(
                 f"peer {self.unit} failed to build its skeleton: {e}") from e
@@ -142,7 +138,7 @@ class Peer:
     def working_copy(self):
         """A clone of the skeleton with doom_oracle as its early-clash
         check: what every task and serve expands.  The skeleton is closed
-        under the deterministic rules on first use, not in adopt_holes, so
+        under the deterministic rules on first use, not in adopt, so
         that setup does not pay for it."""
         with self._lock:
             if not self._skeleton_closed:
@@ -158,8 +154,7 @@ class Peer:
         """The hook a graph expansion uses to flush its obligations.  It
         packages them per neighbor, consults the cache, ships what is left
         through the router and hands each item's outcome to its obligation,
-        which is the item itself.  Obligations toward holed peers are not
-        packaged and get no additions.  After a clash for some node, that
+        which is the item itself.  After a clash for some node, that
         node's remaining packages are never sent and their items get no
         additions: the branch is closing anyway, so their answers could not
         change it.  With reverse updates off, additions come back empty,
@@ -170,7 +165,7 @@ class Peer:
             results = dict.fromkeys(obligations, (ADDITIONS, ()))
             clashed_nodes: set[int] = set()
             for pkg in build_packages(obligations, self.unit, origin,
-                                      self._pkg_counter, self.holes):
+                                      self._pkg_counter):
                 if any(ob.node in clashed_nodes for ob in pkg.items):
                     self.router.notify_skip(self.unit, pkg)
                     continue
@@ -251,9 +246,6 @@ class LoopbackRouter:
     def notify_skip(self, frm: str, pkg: ProjectionPackage):
         self.session.log.append(("stop", frm, pkg.to, pkg.id, "skipped"))
 
-    def broadcast_hole(self, peer_id: str):
-        self.session.log.append(("hole", peer_id, "*", "-", 0))
-
 
 class LoopbackSession:
     """All peers in one process, talking through direct calls.
@@ -282,9 +274,10 @@ class LoopbackSession:
         for u in self.kb.unit_order:
             if self.peers[u].initialize() == HOLED:
                 self.holes.add(u)
-                self.peers[u].router.broadcast_hole(u)
-        for u in self.kb.unit_order:
-            self.peers[u].adopt_holes(self.holes)
+                self.log.append(("hole", u, "*", "-", 0))
+        view = handle_hole(self.kb, self.holes)
+        for peer in self._ready_peers():
+            peer.adopt(view)
         self._initialized = True
         return set(self.holes)
 
@@ -355,7 +348,7 @@ class LoopbackSession:
         self.ensure_consistent()
         if _task:
             self._begin_task()
-        goal = simplify(substitute_holes(nnf(goal), self.holes))
+        goal = drop_holes(nnf(goal), self.holes)
         return self._expand(self._ready_peer(goal.home), goal) \
             is Outcome.COMPLETE
 

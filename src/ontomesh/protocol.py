@@ -1,9 +1,13 @@
 """Collaboration layer between tableau engines.
 
 Carries label fragments between peers as packaged projection requests,
-serves inbound packages against a working copy of the local graph, caches
-responses for byte-identical packages and the fragments whose projection
-clashed, and rewrites the vocabulary of holed units away.
+serves inbound packages against a working copy of the local graph, and
+caches responses for byte-identical packages and the fragments whose
+projection clashed.
+
+The hole set is the session's: it rewrites the holed units' vocabulary out
+of the KB once, through handle_hole, and every ready peer reasons over that
+view, so packaging and serving never meet a holed unit.
 
 Serving is one synchronous call: a package's outcomes are the return value
 of its serve, and every package the serve sends downstream is answered
@@ -19,19 +23,17 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     Atom,
     Bottom,
     Concept,
-    Coupling,
     DistributedKB,
     Not,
     NumberRestriction,
     Restriction,
     Top,
-    UnitKB,
     by_key,
     nnf,
 )
@@ -182,16 +184,12 @@ class ProjectionCache:
 # ---------------------------------------------------------------------------
 
 def build_packages(obligations: list[Obligation], frm: str, origin: str,
-                   id_counter: itertools.count,
-                   holes: set[str] = frozenset()) -> list[ProjectionPackage]:
+                   id_counter: itertools.count) -> list[ProjectionPackage]:
     """One package per destination peer, in destination order, whose items
-    are the obligations toward it in content order.  Obligations toward
-    holed peers are dropped: a holed unit's vocabulary has already been
-    rewritten away."""
+    are the obligations toward it in content order."""
     by_dest: dict[str, list[Obligation]] = {}
     for ob in obligations:
-        if ob.dest_unit not in holes:
-            by_dest.setdefault(ob.dest_unit, []).append(ob)
+        by_dest.setdefault(ob.dest_unit, []).append(ob)
     out = []
     for dest in sorted(by_dest):
         out.append(ProjectionPackage(
@@ -295,22 +293,18 @@ def _serve_items(items, requester: str, new_copy, downstream_hook):
 # holes
 # ---------------------------------------------------------------------------
 
-def substitute_holes(c: Concept, holed: set[str]) -> Concept:
+def drop_holes(c: Concept, holed: set[str]) -> Concept:
     """Rewrite every constraint of an NNF concept that talks about a holed
-    unit into the universal concept.  A full hole interprets every concept
-    of the unit, negations included, as the whole domain, so the literal as
-    a whole trivializes rather than flipping polarity."""
+    unit into the universal concept, and apply the Boolean identities on
+    the way up.  A full hole interprets every concept of the unit,
+    negations included, as the whole domain, so the literal as a whole
+    trivializes rather than flipping polarity."""
     if isinstance(c, Restriction) and (c.prop.target in holed
                                        or c.home in holed):
         return Top(c.home)
-    if c.children():
-        return c.map(lambda sub: substitute_holes(sub, holed))
-    return Top(c.home) if c.home in holed and c.op != "top" else c
-
-
-def simplify(c: Concept) -> Concept:
-    """Boolean identity simplification, used after hole substitution."""
-    c = c.map(simplify)
+    if not c.children():
+        return Top(c.home) if c.home in holed and c.op != "top" else c
+    c = c.map(lambda sub: drop_holes(sub, holed))
     op = c.op
     if op == "and":
         l, r = c.left, c.right
@@ -338,43 +332,28 @@ def simplify(c: Concept) -> Concept:
 def handle_hole(kb: DistributedKB, holed: set[str]) -> DistributedKB:
     """The KB as seen once the holed peers dropped out: their units are
     gone, every mention of their vocabulary is the universal concept, and
-    couplings toward them vanish."""
+    couplings toward them vanish.  What the rewrite leaves alone is shared
+    with kb."""
     if not holed:
         return kb
 
     def rewrite(c: Concept) -> Concept:
-        return simplify(substitute_holes(nnf(c), holed))
+        return drop_holes(nnf(c), holed)
 
-    units = {}
-    for u, ukb in kb.units.items():
-        if u in holed:
-            continue
-        units[u] = UnitKB(
-            unit=u,
-            concept_names=set(ukb.concept_names),
-            role_names=set(ukb.role_names),
-            individual_names=set(ukb.individual_names),
-            gcis=[(rewrite(l), rewrite(r)) for l, r in ukb.gcis],
-            role_inclusions=list(ukb.role_inclusions),
-            transitive_roles=set(ukb.transitive_roles),
-            concept_assertions=[(i, rewrite(c))
-                                for i, c in ukb.concept_assertions],
-            role_assertions=list(ukb.role_assertions),
-            inequalities=list(ukb.inequalities),
-        )
-    couplings = {}
-    for u, coup in kb.couplings.items():
-        if u in holed:
-            continue
-        couplings[u] = Coupling(
-            holder=u,
-            bridge_rules=[br for br in coup.bridge_rules
-                          if br.source.unit not in holed],
-            links=[ld for ld in coup.links if ld.target_unit not in holed],
-            individual_correspondences=[
-                ic for ic in coup.individual_correspondences
-                if ic.foreign_unit not in holed],
-            link_assertions=[la for la in coup.link_assertions
-                             if la.target_unit not in holed],
-        )
+    units = {u: replace(
+        ukb, gcis=[(rewrite(l), rewrite(r)) for l, r in ukb.gcis],
+        concept_assertions=[(i, rewrite(c))
+                            for i, c in ukb.concept_assertions])
+        for u, ukb in kb.units.items() if u not in holed}
+    couplings = {u: replace(
+        coup,
+        bridge_rules=[br for br in coup.bridge_rules
+                      if br.source.unit not in holed],
+        links=[ld for ld in coup.links if ld.target_unit not in holed],
+        individual_correspondences=[
+            ic for ic in coup.individual_correspondences
+            if ic.foreign_unit not in holed],
+        link_assertions=[la for la in coup.link_assertions
+                         if la.target_unit not in holed])
+        for u, coup in kb.couplings.items() if u not in holed}
     return DistributedKB.build(units, couplings)

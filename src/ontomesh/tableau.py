@@ -957,12 +957,8 @@ def collect_obligations(g: CompletionGraph) -> list[Obligation]:
         dests = homes | {u for u, st in node.corr.items()
                          if st.target_individual is not None}
         for j in sorted(dests):
-            if j == g.unit:
-                continue
             st = node.corr.get(j)
             named = st is not None and st.target_individual is not None
-            if not named and j not in homes:
-                continue
             if st is not None and st.requester is not None:
                 continue  # this node mirrors a remote node of unit j already
             if st is not None and st.sent_fragment == fragment:

@@ -6,7 +6,7 @@ from ontomesh.model import (
     ForAll, ModelError, Not, Or, Property, Top, UnitKB, Coupling, BridgeRule,
     LinkDecl, make_and, make_or, neg, nnf, is_nnf, subconcepts,
 )
-from ontomesh.io import parse_concept
+from ontomesh.io import LoadError, load_kb, parse_concept
 
 from figures import conference_square_kb, conference_triangle_kb
 
@@ -230,6 +230,21 @@ def test_validate_filler_home_mismatch():
     kb = DistributedKB.build({"u1": u1, "u2": u2})
     codes = {v.code for v in kb.validate()}
     assert "filler-home" in codes
+
+
+@pytest.mark.parametrize("coupling, code", [
+    ({"unit": "u1", "mappings": [{"source_unit": "u1",
+                                  "individual_correspondences": [
+                                      {"foreign": "u1:b", "local": "u1:a"}]}]},
+     "correspondence-source"),
+    ({"unit": "u1", "links": [{"name": "r", "target_unit": "u1"}]},
+     "link-target"),
+], ids=["correspondence", "link"])
+def test_validate_rejects_couplings_toward_their_holder(coupling, code):
+    u1 = "(unit u1)\n(role r)\n(individual a)\n(individual b)"
+    with pytest.raises(LoadError) as exc:
+        load_kb([u1, "(unit u2)"], [coupling])
+    assert [p.split(" ")[0] for p in exc.value.problems] == [code]
 
 
 def test_validate_square_kb_clean():

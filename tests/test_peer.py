@@ -5,13 +5,13 @@ import pytest
 
 from ontomesh import peer, protocol, tableau
 from ontomesh.io import load_kb, parse_concept
-from ontomesh.model import Atom, Not
+from ontomesh.model import Atom, Not, nnf
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import (
     HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
 )
 from ontomesh.protocol import ProjectionCache, ProjectionPackage, ProtocolError
-from ontomesh.tableau import ADDITIONS, CLASH, Obligation
+from ontomesh.tableau import ADDITIONS, CLASH, JOINT, Obligation
 
 from figures import (
     articles_linked_kb, articles_overlap_kb, chain_kb, conference_square_kb,
@@ -582,7 +582,7 @@ def test_hook_maps_each_package_answer_to_its_obligation(monkeypatch):
     assert verdicts == {ADDITIONS, CLASH}
 
 
-def test_hook_answers_by_item_and_gives_holed_peers_no_additions():
+def test_hook_answers_by_item():
     broken = """
 (unit u1)
 (concept C)
@@ -595,15 +595,103 @@ def test_hook_answers_by_item_and_gives_holed_peers_no_additions():
     assert s.initialize() == {"u1"}
     y = Atom("u3", "Y")
     # the package to u3 sorts node 1's item before node 0's; only node 1's
-    # fragment clashes there, and u1 is holed
+    # fragment clashes there
     obligations = [Obligation(0, "u3", (y,), None),
-                   Obligation(0, "u1", (Atom("u1", "C"),), None),
                    Obligation(1, "u3", (Not(y), y), None)]
     hook = s.peers["u2"].projection_hook("u2")
-    assert hook(obligations) == [(ADDITIONS, ()), (ADDITIONS, ()),
-                                 (CLASH, None)]
+    assert hook(obligations) == [(ADDITIONS, ()), (CLASH, None)]
     assert [e[:3] for e in s.log if e[0] == "projection_request"] == [
         ("projection_request", "u2", "u3")]
+
+
+# -- paths no workload runs, against the oracle ------------------------------------
+
+CONFIGS = [{}, {"use_cache": False}, {"reverse_updates": False}]
+CONFIG_IDS = ["default", "no-cache", "no-reverse"]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_joint_clash_answers_every_item_and_records_no_clash(config,
+                                                             monkeypatch):
+    # a and c both correspond to u2:b: each item stands alone, together
+    # they put b in X and in (not X)
+    u1 = ("(unit u1)\n(individual a)\n(individual c)\n"
+          "(instance a u2:X)\n(instance c (not u2:X))")
+    c1 = {"unit": "u1", "mappings": [{"source_unit": "u2",
+                                      "individual_correspondences": [
+                                          {"foreign": "u2:b", "local": "u1:a"},
+                                          {"foreign": "u2:b", "local": "u1:c"}]}]}
+    kb = load_kb([u1, "(unit u2)\n(concept X)\n(individual b)"], [c1])
+    assert oracle_satisfiable(kb, None, domain_bound=2) is False
+    answers, serve = [], peer.serve_package
+
+    def recorded_serve(*args):
+        answers.append(serve(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(peer, "serve_package", recorded_serve)
+    s = _session(kb, **config)
+    assert s.check_consistency()[0] == "inconsistent"
+    assert answers == [((CLASH, JOINT), (CLASH, JOINT))]
+    assert not s.peers["u1"].cache._clashes
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("assertion, verdict", [
+    ("(instance b (not X))", "inconsistent"),
+    ("(instance b X)", "consistent"),
+    ("", "consistent"),
+], ids=["not-X", "X", "none"])
+def test_link_assertion_reaches_the_foreign_individual(assertion, verdict,
+                                                       config):
+    u1 = "(unit u1)\n(individual a)\n(instance a (all e u2:X))"
+    u2 = f"(unit u2)\n(concept X)\n(individual b)\n{assertion}"
+    c1 = {"unit": "u1", "links": [{"name": "e", "target_unit": "u2"}],
+          "link_assertions": [{"from": "u1:a", "link": "e", "to": "u2:b"}]}
+    kb = load_kb([u1, u2], [c1])
+    consistent = verdict == "consistent"
+    assert oracle_satisfiable(kb, None, domain_bound=2) is consistent
+    assert _session(kb, **config).check_consistency()[0] == verdict
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("different", [True, False], ids=["different", "same"])
+def test_abox_inequality_meets_a_bridged_at_most(different, config):
+    # c corresponds to u2:d in Y, so c is in B and has at most one
+    # r-successor: a and b must be one
+    u1 = ("(unit u1)\n(concept B)\n(role r)\n(individual a)\n"
+          "(individual b)\n(individual c)\n(related c r a)\n"
+          "(related c r b)\n(sub B (max 1 r top))\n"
+          + ("(different a b)" if different else ""))
+    u2 = "(unit u2)\n(concept Y)\n(individual d)\n(instance d Y)"
+    c1 = {"unit": "u1", "mappings": [{
+        "source_unit": "u2",
+        "bridge_rules": [{"kind": "into", "source": "u2:Y",
+                          "target": "u1:B"}],
+        "individual_correspondences": [{"foreign": "u2:d", "local": "u1:c"}]}]}
+    kb = load_kb([u1, u2], [c1])
+    assert oracle_satisfiable(kb, None, domain_bound=2) is not different
+    assert _session(kb, **config).check_consistency()[0] == (
+        "inconsistent" if different else "consistent")
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_goal_loses_the_vocabulary_of_a_holed_unit(config):
+    broken = ("(unit u1)\n(concept C)\n(individual a)\n(sub C (not C))\n"
+              "(instance a C)")
+    kb = load_kb([broken, "(unit u2)\n(concept X)"])
+    s = _session(kb, **config)
+    assert s.initialize() == {"u1"}
+    view = protocol.handle_hole(kb, {"u1"})
+    for text, rewritten in [("(and X u1:C)", "u2:X"),
+                            ("(and X (not u1:C))", "u2:X"),
+                            ("(and (not X) (or X u1:C))", "(not u2:X)")]:
+        goal = parse_concept(text, "u2")
+        dropped = protocol.drop_holes(nnf(goal), {"u1"})
+        assert dropped.key() == rewritten
+        assert oracle_satisfiable(view, dropped, domain_bound=2) is True
+        assert s.is_satisfiable(goal) is True
+    assert s.log == [("hole", "u1", "*", "-", 0)]
 
 
 # -- session lifetime ------------------------------------------------------------

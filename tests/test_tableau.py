@@ -230,6 +230,39 @@ def test_punned_link_restrictions_agree_with_oracle(transitive):
     assert sat is oracle_satisfiable(kb, goal, domain_bound=2)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1, fourth wrong verdict: the at-most rule merges only "
+    "generated nodes and named individuals are distinct only when declared, "
+    "so c's two named r-successors never merge and no clash is found"))
+def test_at_most_over_named_individuals_agrees_with_oracle():
+    kb = _kb("""
+(unit u1)
+(concept A)
+(concept B)
+(role r)
+(individual a)
+(individual b)
+(individual c)
+(related c r a)
+(related c r b)
+(instance c (max 1 r top))
+(instance a A)
+(instance b (not A))
+""", "(unit u2)")
+    # c has at most one r-successor, so a = b, which clashes on A: u1 is
+    # inconsistent on its own and drops out as a hole
+    assert oracle_satisfiable(kb, Top("u1"), domain_bound=2) is False
+    assert LoopbackSession(kb).initialize() == {"u1"}
+
+
+def test_audit_universe_holds_concept_assertions():
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)\n"
+             "(individual a)\n(instance a (some r A))", "(unit u2)")
+    assert parse_concept("(some r A)", "u1") in kb.label_universe()
+    s = LoopbackSession(kb, PeerConfig(audit=True))
+    assert s.is_satisfiable(Atom("u1", "B")) is True
+
+
 _ABSORPTION_KBS = {
     "cyclic": (["(unit u1)\n(concept A)\n(concept B)\n(role r)\n"
                 "(sub A (some r A))"], ()),
