@@ -251,7 +251,9 @@ class LoopbackSession:
     """All peers in one process, talking through direct calls.
 
     The task API mirrors the wire task payloads: consistency, concept
-    satisfiability, subsumption and per-unit classification."""
+    satisfiability, subsumption and per-unit classification.  The KB is
+    taken as validated (DistributedKB.validate, which load_kb runs): a link
+    or correspondence toward its own holder would be sent to that peer."""
 
     def __init__(self, kb: DistributedKB, config: PeerConfig | None = None):
         self.kb = kb

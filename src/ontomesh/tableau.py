@@ -953,9 +953,10 @@ def collect_obligations(g: CompletionGraph) -> list[Obligation]:
         fragment = g.fragment(x)
         if not fragment:
             continue
-        homes = {c.home for c in fragment}
-        dests = homes | {u for u, st in node.corr.items()
-                         if st.target_individual is not None}
+        # a unit the KB does not hold, such as one the session's view
+        # dropped as a hole, has no peer to ask
+        dests = {c.home for c in fragment if c.home in g.kb.units} | {
+            u for u, st in node.corr.items() if st.target_individual is not None}
         for j in sorted(dests):
             st = node.corr.get(j)
             named = st is not None and st.target_individual is not None

@@ -694,6 +694,24 @@ def test_goal_loses_the_vocabulary_of_a_holed_unit(config):
     assert s.log == [("hole", "u1", "*", "-", 0)]
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("axiom", ["(instance a u2:X)", "(sub A u2:X)"],
+                         ids=["assertion", "gci"])
+def test_ready_unit_naming_a_holed_concept_asks_no_holed_peer(axiom, config):
+    # the rewrite leaves u2's universal concept in a's label: no package
+    # may go to u2, which is holed
+    u1 = f"(unit u1)\n(concept A)\n(individual a)\n(instance a A)\n{axiom}"
+    broken = ("(unit u2)\n(concept X)\n(individual b)\n(sub X (not X))\n"
+              "(instance b X)")
+    kb = load_kb([u1, broken])
+    s = _session(kb, **config)
+    assert s.initialize() == {"u2"}
+    view = protocol.handle_hole(kb, {"u2"})
+    assert oracle_satisfiable(view, None, domain_bound=2) is True
+    assert s.check_consistency()[0] == "consistent"
+    assert s.log == [("hole", "u2", "*", "-", 0)]
+
+
 # -- session lifetime ------------------------------------------------------------
 
 def test_dropped_session_is_freed_by_reference_counting(monkeypatch):

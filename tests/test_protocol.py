@@ -147,7 +147,7 @@ def test_serve_ships_forced_literals_derived_after_a_choice():
 # -- holes ---------------------------------------------------------------------
 
 def test_hole_rewrite_is_pinned():
-    # every rule of substitute_holes and simplify, with u4 holed
+    # every rule of drop_holes, with u4 holed
     from ontomesh.model import DistributedKB, Coupling, UnitKB
     from ontomesh.protocol import handle_hole
 
