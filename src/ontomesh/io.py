@@ -425,6 +425,9 @@ def parse_coupling(document: str | dict) -> Coupling:
             entry("correspondence", ic, "foreign", "local")
             fu, fn = split_q(ic["foreign"], src_unit)
             lu, ln = split_q(ic["local"], holder)
+            if fu != src_unit:
+                raise SchemaError(f"correspondence foreign side {ic['foreign']!r} "
+                                  f"is not in mapping source unit {src_unit}")
             if lu != holder:
                 raise SchemaError(f"correspondence local side {ic['local']!r} "
                                   "is not local")

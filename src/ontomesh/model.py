@@ -784,13 +784,8 @@ class DistributedKB:
                 if br.source.unit == u:
                     out.append(Violation("bridge-source",
                                          f"{br.key()} source is not foreign", u))
-                for atom in (br.source, br.target):
-                    if atom.unit not in self.units:
-                        out.append(Violation("unknown-unit",
-                                             f"{atom.key()} names unit {atom.unit}", u))
-                    elif atom.name not in self.units[atom.unit].concept_names:
-                        out.append(Violation("unknown-concept",
-                                             f"{atom.key()} is not declared", u))
+                check_concept(br.source, u)
+                check_concept(br.target, u)
             declared = {(l.name, l.target_unit) for l in coup.links}
             for ld in coup.links:
                 if ld.target_unit == u:

@@ -1,15 +1,15 @@
-"""Peer lifecycle and the distributed reasoning services.
+"""Peers and the distributed reasoning services.
 
-A peer owns one unit.  It initializes by checking its own knowledge in
-isolation (everything foreign read as the universal concept); consistent
-peers join the communication phase, while inconsistent ones drop out as
-holes.  The session owns the hole set: it rewrites the holed units out of
-the KB once and hands that view to every ready peer, which freezes its ABox
-skeleton over it.  Reasoning tasks run a goal graph at the goal's home
-peer; projection packages flow between peers through a router, are
-answered against working copies, and are cached by the sender.  The
-skeleton is closed under the deterministic rules the first time a task or
-serve needs it, so no copy repeats that work.
+Each unit is first checked in isolation, everything foreign read as the
+universal concept (isolated_check); a unit that fails drops out as a hole.
+The session owns the hole set: it rewrites the holed units out of the KB
+once and builds one peer per ready unit over that view, so a peer exists
+only once its unit is ready, and it freezes its ABox skeleton as it is
+built.  Reasoning tasks run a goal graph at the goal's home peer;
+projection packages flow between peers through a router, are answered
+against working copies, and are cached by the sender.  The skeleton is
+closed under the deterministic rules the first time a task or serve needs
+it, so no copy repeats that work.
 """
 
 from __future__ import annotations
@@ -35,25 +35,17 @@ from .tableau import (
     CLASH,
     BudgetExceeded,
     Obligation,
-    Outcome,
     audit_complete_graph,
     close_deterministic,
     expand_to_completion,
     init_graph,
 )
 
-READY = "ready"
-HOLED = "holed"
-
 SERVE_DEPTH_LIMIT = 64  # nested serves one peer may have open
 
 
 class InconclusiveError(Exception):
     """A budget ran out; the question is open, not answered."""
-
-
-class PhaseError(Exception):
-    """An operation arrived in the wrong lifecycle phase."""
 
 
 @dataclass
@@ -89,18 +81,37 @@ class Taxonomy:
         return sorted(r for r in self.classes if r not in non_roots)
 
 
+def isolated_check(kb: DistributedKB, unit: UnitId) -> bool:
+    """A unit's consistency check on its own, every other unit read as a
+    hole.  True when the unit is ready, False when it is a hole; raises
+    InconclusiveError when the check runs out of budget."""
+    isolated = handle_hole(kb, set(kb.unit_order) - {unit})
+    try:
+        return expand_to_completion(init_graph(isolated, unit))
+    except BudgetExceeded as e:
+        raise InconclusiveError(
+            f"peer {unit} failed to initialize: {e}") from e
+
+
 class Peer:
-    def __init__(self, kb: DistributedKB, unit: UnitId,
-                 config: PeerConfig | None = None):
-        self.kb_full = kb
+    """The reasoner of one ready unit.  A peer exists only once its unit
+    has passed its isolated check: the session builds it over its
+    hole-adjusted view, and it freezes its skeleton as it is built, raising
+    InconclusiveError when the skeleton outgrows the budget."""
+
+    def __init__(self, view: DistributedKB, unit: UnitId,
+                 config: PeerConfig, router: "LoopbackRouter"):
         self.unit = unit
-        self.config = config or PeerConfig()
-        self.phase: str | None = None        # READY or HOLED once initialized
-        self.skeleton = None                 # over the session's view
+        self.config = config
+        try:
+            self.skeleton = init_graph(view, unit)
+        except BudgetExceeded as e:
+            raise InconclusiveError(
+                f"peer {unit} failed to build its skeleton: {e}") from e
         self._skeleton_closed = False
         self.metrics = Metrics()
         self.cache = ProjectionCache()
-        self.router = None                   # injected by the session
+        self.router = router
         self._pkg_counter = itertools.count(1)
         self._serving: set[tuple[str, bytes]] = set()  # the open serves
         self._lock = threading.RLock()
@@ -109,37 +120,11 @@ class Peer:
         """Early-clash check for each working copy of this peer's skeleton."""
         return self.cache.known_clash(graph, node_id)
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def initialize(self) -> str:
-        """Isolated consistency check: every other unit is read as a hole.
-        Returns the resulting phase, READY or HOLED; raises
-        InconclusiveError when the check runs out of budget."""
-        others = set(self.kb_full.unit_order) - {self.unit}
-        isolated = handle_hole(self.kb_full, others)
-        try:
-            outcome = expand_to_completion(init_graph(isolated, self.unit))
-        except BudgetExceeded as e:
-            raise InconclusiveError(
-                f"peer {self.unit} failed to initialize: {e}") from e
-        self.phase = HOLED if outcome is Outcome.UNSATISFIABLE else READY
-        return self.phase
-
-    def adopt(self, view: DistributedKB):
-        """Freeze the skeleton over the session's hole-adjusted view;
-        raises InconclusiveError when the skeleton outgrows the budget."""
-        try:
-            self.skeleton = init_graph(view, self.unit)
-        except BudgetExceeded as e:
-            raise InconclusiveError(
-                f"peer {self.unit} failed to build its skeleton: {e}") from e
-        self._skeleton_closed = False
-
     def working_copy(self):
         """A clone of the skeleton with doom_oracle as its early-clash
         check: what every task and serve expands.  The skeleton is closed
-        under the deterministic rules on first use, not in adopt, so
-        that setup does not pay for it."""
+        under the deterministic rules on first use, not when the peer
+        is built, so that setup does not pay for it."""
         with self._lock:
             if not self._skeleton_closed:
                 close_deterministic(self.skeleton)
@@ -203,8 +188,6 @@ class Peer:
         copies of a request this peer is already serving, and must not be
         cached.  Raises InconclusiveError at SERVE_DEPTH_LIMIT open serves,
         and BudgetExceeded when the serve's copy runs out."""
-        if self.phase != READY:
-            raise PhaseError(f"peer {self.unit} cannot serve in phase {self.phase}")
         key = (pkg.frm, pkg.content_bytes())
         with self._lock:
             if len(self._serving) >= SERVE_DEPTH_LIMIT:
@@ -258,29 +241,28 @@ class LoopbackSession:
     def __init__(self, kb: DistributedKB, config: PeerConfig | None = None):
         self.kb = kb
         self.config = config or PeerConfig()
-        self.peers = {u: Peer(kb, u, self.config) for u in kb.unit_order}
-        router = LoopbackRouter(self)
-        for p in self.peers.values():
-            p.router = router
+        self.peers: dict[UnitId, Peer] = {}  # one per ready unit
         self.log: list[tuple] = []
-        self.holes: set[str] = set()
-        self._initialized = False
+        self.holes: set[str] | None = None   # decided by initialize
         self._consistency: tuple | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def initialize(self) -> set[str]:
-        """Run every peer's isolated initialization; returns the hole set."""
-        if self._initialized:
-            return set(self.holes)
-        for u in self.kb.unit_order:
-            if self.peers[u].initialize() == HOLED:
-                self.holes.add(u)
-                self.log.append(("hole", u, "*", "-", 0))
-        view = handle_hole(self.kb, self.holes)
-        for peer in self._ready_peers():
-            peer.adopt(view)
-        self._initialized = True
+        """Check every unit in isolation, then build one peer per ready
+        unit over the KB with the holes rewritten out; returns the hole
+        set."""
+        if self.holes is None:
+            holes = set()
+            for u in self.kb.unit_order:
+                if not isolated_check(self.kb, u):
+                    holes.add(u)
+                    self.log.append(("hole", u, "*", "-", 0))
+            view = handle_hole(self.kb, holes)
+            router = LoopbackRouter(self)
+            self.peers = {u: Peer(view, u, self.config, router)
+                          for u in self.kb.unit_order if u not in holes}
+            self.holes = holes
         return set(self.holes)
 
     def _begin_task(self):
@@ -292,36 +274,32 @@ class LoopbackSession:
 
     def _ready_peer(self, unit: UnitId) -> Peer:
         peer = self.peers.get(unit)
-        if peer is None or peer.phase != READY:
+        if peer is None:
             raise ProtocolError(f"unit {unit} is not available for reasoning")
         return peer
 
-    def _ready_peers(self):
-        return [self.peers[u] for u in self.kb.unit_order
-                if self.peers[u].phase == READY]
-
-    def _expand(self, peer: Peer, goal: Concept | None = None) -> Outcome:
+    def _expand(self, peer: Peer, goal: Concept | None = None) -> bool:
         """Expand a working copy of the peer's skeleton, goal at the root if
         given, with the projection machinery live; audit a complete goal
         graph when the config asks.  A budget that runs out here or in a
-        serve it causes raises InconclusiveError."""
+        serve it causes raises InconclusiveError.  True when the graph
+        completes, False when every branch closes."""
         graph = peer.working_copy()
         if goal is not None:
             graph.add_label(0, goal)
         hook = peer.projection_hook(origin=peer.unit)
         try:
-            outcome = expand_to_completion(graph, hook)
+            complete = expand_to_completion(graph, hook)
         except BudgetExceeded as e:
             raise InconclusiveError(
                 f"task at peer {peer.unit} ran out: {e}") from e
         peer.metrics.branch_count += graph.branch_count
-        if goal is not None and outcome is Outcome.COMPLETE \
-                and self.config.audit:
+        if goal is not None and complete and self.config.audit:
             problems = audit_complete_graph(graph, goal)
             if problems:
                 raise AssertionError("tableau property audit failed: "
                                      + "; ".join(problems))
-        return outcome
+        return complete
 
     # -- tasks -----------------------------------------------------------------
 
@@ -331,8 +309,8 @@ class LoopbackSession:
         ('inconsistent', (peer, detail))."""
         self._begin_task()
         verdict = ("consistent", None)
-        for peer in self._ready_peers():
-            if self._expand(peer) is Outcome.UNSATISFIABLE:
+        for peer in self.peers.values():
+            if not self._expand(peer):
                 verdict = ("inconsistent",
                            (peer.unit, "no clash-free completion"))
                 break
@@ -351,8 +329,7 @@ class LoopbackSession:
         if _task:
             self._begin_task()
         goal = drop_holes(nnf(goal), self.holes)
-        return self._expand(self._ready_peer(goal.home), goal) \
-            is Outcome.COMPLETE
+        return self._expand(self._ready_peer(goal.home), goal)
 
     def is_subsumed(self, sub: Atom, sup: Atom, _task: bool = True) -> bool:
         if sub.unit != sup.unit:
@@ -376,8 +353,10 @@ class LoopbackSession:
         return _build_taxonomy(unit, names, below)
 
     def metrics_snapshot(self) -> dict[str, dict]:
-        return {u: asdict(self.peers[u].metrics)
-                for u in self.kb.unit_order}
+        """Each peer's metrics of the current task, by unit.  Peers exist
+        only for ready units, the only ones that can send anything; the
+        snapshot is empty before initialize."""
+        return {u: asdict(p.metrics) for u, p in self.peers.items()}
 
 
 def _build_taxonomy(unit: UnitId, names: list[str],

@@ -43,7 +43,6 @@ from .tableau import (
     JOINT,
     CompletionGraph,
     Obligation,
-    Outcome,
     expand_to_completion,
 )
 
@@ -275,8 +274,7 @@ def _serve_items(items, requester: str, new_copy, downstream_hook):
         for c in item.fragment:
             copy.add_label(node_id, c)
         placed.append(node_id)
-    result = expand_to_completion(copy, downstream_hook)
-    if result is Outcome.UNSATISFIABLE:
+    if not expand_to_completion(copy, downstream_hook):
         return None
     # a literal with a non-empty dependency set rests on a choice, which
     # the requester would take as a fact: keep it back

@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .model import (
@@ -122,11 +121,6 @@ NodeId = int
 
 class BudgetExceeded(Exception):
     """A node or branch budget ran out; inconclusive, never a verdict."""
-
-
-class Outcome(Enum):
-    COMPLETE = "complete"
-    UNSATISFIABLE = "unsatisfiable"
 
 
 # projection outcome verdicts, one per obligation or package item.  A
@@ -974,9 +968,11 @@ def mark_sent(g: CompletionGraph, ob: Obligation):
     g.set_corr(ob.node, ob.dest_unit, sent_fragment=ob.fragment)
 
 
-def expand_to_completion(g: CompletionGraph, projection_hook=None) -> Outcome:
+def expand_to_completion(g: CompletionGraph, projection_hook=None) -> bool:
     """Local fixpoint, then flush projection obligations through the hook
-    and fold the responses back in, until nothing changes anywhere.
+    and fold the responses back in, until nothing changes anywhere.  True
+    when a clash-free completion is reached; False when every branch
+    closes, like expand_local.
 
     The hook takes a list of Obligations and returns a list of
     (CLASH, payload) or (ADDITIONS, tuple-of-literals) outcomes aligned
@@ -991,10 +987,10 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None) -> Outcome:
     the package that answered them carried them all."""
     while True:
         if not expand_local(g):
-            return Outcome.UNSATISFIABLE
+            return False
         obligations = collect_obligations(g)
         if not obligations or projection_hook is None:
-            return Outcome.COMPLETE
+            return True
         package: dict[UnitId, int] = {}
         for ob in obligations:
             package[ob.dest_unit] = (package.get(ob.dest_unit, 0)

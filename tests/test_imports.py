@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
-private function, class and method is used somewhere in it, and every
-identifier of the package and its tests is ASCII.
+module imports only the package modules its layer allows, every private
+function, class and method is used somewhere in it, and every identifier
+of the package and its tests is ASCII.
 
 No linter ships with the test toolchain, so this walks the syntax tree
 with the standard library instead.
@@ -38,6 +39,54 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the package modules each module may import.  The oracle stays apart
+# from the tableau code, so that it can referee it; peer sits on top.
+LAYERS = {
+    "__init__": set(),
+    "model": set(),
+    "io": {"model"},
+    "oracle": {"model"},
+    "tableau": {"model"},
+    "protocol": {"model", "tableau"},
+    "peer": {"model", "io", "oracle", "tableau", "protocol"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that source imports anywhere in its tree, as
+    `from .x import`, `from . import x`, `import ontomesh.x` or
+    `from ontomesh.x import`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.partition(".")[2] for name in names
+                     if name.startswith("ontomesh."))
+    return found
+
+
+def test_checker_finds_package_imports_at_any_depth():
+    src = ("import json\nfrom .model import Atom\nfrom . import io\n"
+           "def f():\n    from .tableau import init_graph\n"
+           "    import ontomesh.oracle\n"
+           "from ontomesh.protocol import drop_holes\n")
+    assert package_imports(src) == {"model", "io", "tableau", "oracle",
+                                    "protocol"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_its_layers(path):
+    assert package_imports(path.read_text()) - LAYERS[path.stem] == set()
 
 
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:

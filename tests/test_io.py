@@ -236,6 +236,20 @@ def test_coupling_unknown_field():
         parse_coupling({"unit": "u1", "bridges": []})
 
 
+@pytest.mark.parametrize("key, ref, side", [
+    ("bridge_rules", {"kind": "onto", "source": "u3:b", "target": "u1:a"},
+     "bridge source"),
+    ("individual_correspondences", {"foreign": "u3:b", "local": "u1:a"},
+     "correspondence foreign side"),
+], ids=["bridge", "correspondence"])
+def test_coupling_foreign_side_outside_the_mapping_source(key, ref, side):
+    doc = {"unit": "u1", "mappings": [{"source_unit": "u2", key: [ref]}]}
+    with pytest.raises(SchemaError) as err:
+        parse_coupling(doc)
+    assert str(err.value) == (
+        f"{side} 'u3:b' is not in mapping source unit u2")
+
+
 _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
               "(unit u2)\n(concept A)\n(individual x)"]
 

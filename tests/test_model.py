@@ -247,6 +247,19 @@ def test_validate_rejects_couplings_toward_their_holder(coupling, code):
     assert [p.split(" ")[0] for p in exc.value.problems] == [code]
 
 
+def test_validate_names_the_unknown_atoms_of_a_bridge_rule():
+    u1 = UnitKB(unit="u1", concept_names={"B"})
+    u2 = UnitKB(unit="u2", concept_names={"A"})
+    coup = Coupling(holder="u1", bridge_rules=[
+        BridgeRule("onto", Atom("u2", "Nope"), Atom("u1", "B")),
+        BridgeRule("into", Atom("u9", "X"), Atom("u1", "B"))])
+    kb = DistributedKB.build({"u1": u1, "u2": u2}, {"u1": coup})
+    assert [str(v) for v in kb.validate()] == [
+        "unknown-concept [u1]: u2:Nope is not declared",
+        "unknown-unit [u1]: u9:X names unit u9",
+    ]
+
+
 def test_validate_square_kb_clean():
     assert conference_square_kb().validate() == []
     assert conference_triangle_kb().validate() == []

@@ -7,9 +7,7 @@ from ontomesh import peer, protocol, tableau
 from ontomesh.io import load_kb, parse_concept
 from ontomesh.model import Atom, Not, nnf
 from ontomesh.oracle import oracle_satisfiable
-from ontomesh.peer import (
-    HOLED, READY, InconclusiveError, LoopbackSession, Peer, PeerConfig,
-)
+from ontomesh.peer import InconclusiveError, LoopbackSession, Peer, PeerConfig
 from ontomesh.protocol import ProjectionCache, ProjectionPackage, ProtocolError
 from ontomesh.tableau import ADDITIONS, CLASH, JOINT, Obligation
 
@@ -28,8 +26,9 @@ def _session(kb, **kw):
 def test_initialize_empty_units_ready():
     kb = conference_triangle_kb()
     s = _session(kb)
+    assert s.peers == {} and s.metrics_snapshot() == {}
     assert s.initialize() == set()
-    assert all(p.phase == READY for p in s.peers.values())
+    assert sorted(s.peers) == ["u2", "u3", "u4"]
 
 
 def test_local_inconsistency_becomes_hole():
@@ -45,7 +44,7 @@ def test_local_inconsistency_becomes_hole():
     s = _session(kb)
     holes = s.initialize()
     assert holes == {"u1"}
-    assert s.peers["u1"].phase == HOLED
+    assert sorted(s.peers) == ["u2"]
     assert any(entry[0] == "hole" for entry in s.log)
 
 

@@ -8,7 +8,7 @@ from ontomesh.model import Atom, Bottom, Not, Property, Top
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import LoopbackSession, PeerConfig
 from ontomesh.tableau import (
-    BudgetExceeded, Outcome, audit_complete_graph,
+    BudgetExceeded, audit_complete_graph,
     collect_obligations, expand_local, expand_to_completion, init_graph,
     mark_sent,
 )
@@ -26,7 +26,7 @@ def _kb(*units, couplings=()):
 def _local_sat(kb, unit, goal_text):
     goal = parse_concept(goal_text, unit)
     g = init_graph(kb, unit, goal)
-    return expand_to_completion(g) is Outcome.COMPLETE, g
+    return expand_to_completion(g) is True, g
 
 
 # -- initialization ----------------------------------------------------------
@@ -405,7 +405,7 @@ def test_projection_clash_forces_unsat():
     def hook(obs):
         return [("clash", None) for _ in obs]
 
-    assert expand_to_completion(g, hook) is Outcome.UNSATISFIABLE
+    assert expand_to_completion(g, hook) is False
 
 
 def test_projection_additions_are_integrated():
@@ -419,7 +419,7 @@ def test_projection_additions_are_integrated():
         rounds.append([ob.dest_unit for ob in obs])
         return [("additions", (Atom("u2", "Conference"),)) for _ in obs]
 
-    assert expand_to_completion(g, hook) is Outcome.COMPLETE
+    assert expand_to_completion(g, hook) is True
     assert Atom("u2", "Conference") in g.nodes[0].label
     # the grown fragment is re-flushed before completion is declared
     assert len(rounds) >= 2
@@ -431,7 +431,7 @@ def test_audit_clean_on_complete_graphs():
     kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)")
     goal = parse_concept("(and (some r A) (all r B) (min 2 r A))", "u1")
     g = init_graph(kb, "u1", goal)
-    assert expand_to_completion(g) is Outcome.COMPLETE
+    assert expand_to_completion(g) is True
     assert audit_complete_graph(g, goal) == []
 
 
@@ -439,7 +439,7 @@ def test_audit_flags_broken_graph():
     kb = _kb("(unit u1)\n(concept A)\n(concept B)")
     goal = parse_concept("(and A B)", "u1")
     g = init_graph(kb, "u1", goal)
-    assert expand_to_completion(g) is Outcome.COMPLETE
+    assert expand_to_completion(g) is True
     del g.nodes[0].label[Atom("u1", "A")]
     assert any("property 2" in p for p in audit_complete_graph(g, goal))
 
@@ -448,7 +448,7 @@ def test_audit_flags_missing_forall_plus():
     kb = _kb(*_HIERARCHY_UNITS)
     goal = parse_concept("(and (some r A) (all s B))", "u1")
     g = init_graph(kb, "u1", goal)
-    assert expand_to_completion(g) is Outcome.COMPLETE
+    assert expand_to_completion(g) is True
     assert audit_complete_graph(g, goal) == []
     forall_plus = parse_concept("(all r B)", "u1")
     (y,) = g.successors(0, Property("r", "u1", "u1"))
@@ -461,7 +461,7 @@ def test_audit_flags_missing_unfolding():
     kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(sub A B)")
     goal = parse_concept("A", "u1")
     g = init_graph(kb, "u1", goal)
-    assert expand_to_completion(g) is Outcome.COMPLETE
+    assert expand_to_completion(g) is True
     assert audit_complete_graph(g, goal) == []
     del g.nodes[0].label[Atom("u1", "B")]
     assert audit_complete_graph(g, goal) == [
