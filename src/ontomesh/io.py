@@ -383,13 +383,9 @@ def parse_coupling(document: str | dict) -> Coupling:
         raise SchemaError(f"unknown coupling fields {sorted(unknown)}")
     coup = Coupling(holder=holder)
 
-    def split_q(ref: str, default_unit: str | None = None) -> tuple[str, str]:
-        if ":" in str(ref):
-            unit, name = str(ref).split(":", 1)
-            return unit, name
-        if default_unit is None:
-            raise SchemaError(f"{ref!r} must be unit-qualified")
-        return default_unit, str(ref)
+    def split_q(ref: str, default_unit: str) -> tuple[str, str]:
+        unit, colon, name = str(ref).partition(":")
+        return (unit, name) if colon else (default_unit, unit)
 
     def entry(what: str, obj, *required: str) -> dict:
         if not isinstance(obj, dict):

@@ -170,14 +170,14 @@ class Peer:
 
     def _send_package(self, pkg: ProjectionPackage):
         if self.config.use_cache:
-            cached = self.cache.lookup(pkg.to, pkg)
+            cached = self.cache.lookup(pkg)
             if cached is not None:
                 self.metrics.cache_hits += 1
                 return cached
         self.metrics.packages_sent += 1
         outcomes, final = self.router.dispatch(pkg)
         if self.config.use_cache and final:
-            self.cache.store(pkg.to, pkg, outcomes)
+            self.cache.store(pkg, outcomes)
         return outcomes
 
     # -- inbound serving ------------------------------------------------------------

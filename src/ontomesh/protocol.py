@@ -13,7 +13,8 @@ Serving is one synchronous call: a package's outcomes are the return value
 of its serve, and every package the serve sends downstream is answered
 before it returns, so nothing is cancelled and nothing is decoded.  The
 payload encoding gives the wire form of a package, which measures its
-size.
+size: each fragment member travels as its concept key, the interned form
+that also keys the cache, and the package names its origin once.
 
 Peers are identified by the unit they own, so peer ids and unit ids
 coincide throughout.
@@ -31,7 +32,6 @@ from .model import (
     Concept,
     DistributedKB,
     Not,
-    NumberRestriction,
     Restriction,
     Top,
     by_key,
@@ -56,30 +56,6 @@ class CacheOverflow(ProtocolError):
 
 
 BYTE_BUDGET = 64 * 1024 * 1024  # of exact answers, per projection cache
-
-
-# ---------------------------------------------------------------------------
-# wire-able concept encoding
-# ---------------------------------------------------------------------------
-
-def concept_to_obj(c: Concept):
-    obj = {"op": c.op}
-    if c.op == "not":
-        obj["arg"] = concept_to_obj(c.operand)
-    elif isinstance(c, Restriction):
-        p = c.prop
-        obj["prop"] = {"name": p.name, "home": p.home, "target": p.target,
-                       "inverted": p.inverted}
-        obj["filler"] = concept_to_obj(c.filler)
-        if isinstance(c, NumberRestriction):
-            obj["n"] = c.n
-    else:
-        obj["unit"] = c.unit
-        if c.op == "atom":
-            obj["name"] = c.name
-        for side, sub in zip(("left", "right"), c.children()):
-            obj[side] = concept_to_obj(sub)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +86,10 @@ class ProjectionPackage:
 
     def to_payload(self):
         return {"id": self.id, "from": self.frm, "to": self.to,
+                "origin": self.origin,
                 "items": [{"source_node": i.node,
-                           "fragment": [concept_to_obj(c) for c in i.fragment],
-                           "target_individual": i.target_individual,
-                           "trigger_origin": self.origin}
+                           "fragment": [c.key() for c in i.fragment],
+                           "target_individual": i.target_individual}
                           for i in self.items]}
 
 
@@ -133,13 +109,13 @@ class ProjectionCache:
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def lookup(self, to: str, pkg: ProjectionPackage):
-        key = (to, pkg.content_bytes())
+    def lookup(self, pkg: ProjectionPackage):
+        key = (pkg.to, pkg.content_bytes())
         with self._lock:
             return self._store.get(key)
 
-    def store(self, to: str, pkg: ProjectionPackage, outcomes: tuple):
-        key = (to, pkg.content_bytes())
+    def store(self, pkg: ProjectionPackage, outcomes: tuple):
+        key = (pkg.to, pkg.content_bytes())
         with self._lock:
             if key in self._store:
                 return
@@ -258,18 +234,14 @@ def _serve_items(items, requester: str, new_copy, downstream_hook):
     copy = new_copy()
     placed: list[int] = []
     for item in items:
-        node_id = None
-        if item.target_individual is not None:
-            for x, node in sorted(copy.nodes.items()):
-                if node.origin == ("abox", item.target_individual):
-                    node_id = x
-                    break
+        if item.target_individual is None:
+            node_id = copy.new_node("projected").id
+        else:
+            node_id = copy.individuals.get(item.target_individual)
             if node_id is None:
                 raise ProtocolError(
                     f"projection names unknown individual "
                     f"{item.target_individual!r} of {copy.unit}")
-        if node_id is None:
-            node_id = copy.new_node(("projected", requester, item.node)).id
         copy.set_corr(node_id, requester, requester=(requester, item.node))
         for c in item.fragment:
             copy.add_label(node_id, c)

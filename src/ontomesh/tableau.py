@@ -153,14 +153,16 @@ class CorrState(NamedTuple):
 
 
 class Node:
-    __slots__ = ("id", "label", "origin", "parent", "distinct", "corr", "ver",
+    __slots__ = ("id", "label", "kind", "parent", "distinct", "corr", "ver",
                  "cdeps")
 
-    def __init__(self, id: NodeId, origin: tuple, parent: NodeId | None = None):
+    def __init__(self, id: NodeId, kind: str, parent: NodeId | None = None):
         self.id = id
         # each member -> the dependency set it was derived under
         self.label: dict[Concept, int] = {}
-        self.origin = origin
+        # "root", "abox" (a named individual), "foreign" (a link
+        # placeholder), "generated" or "projected"
+        self.kind = kind
         self.parent = parent
         self.distinct: set[NodeId] = set()
         self.corr: dict[UnitId, CorrState] = {}
@@ -169,14 +171,14 @@ class Node:
 
     @property
     def generated(self) -> bool:
-        return self.origin[0] == "generated"
+        return self.kind == "generated"
 
     @property
     def projected(self) -> bool:
-        return self.origin[0] == "projected"
+        return self.kind == "projected"
 
     def clone(self) -> "Node":
-        n = Node(self.id, self.origin, self.parent)
+        n = Node(self.id, self.kind, self.parent)
         n.label = dict(self.label)
         n.distinct = set(self.distinct)
         n.corr = dict(self.corr)
@@ -215,9 +217,8 @@ def _set_ver(node: Node, ver: int) -> None:
     node.ver = ver
 
 
-def _set_attrs(obj, pairs: tuple) -> None:
-    for name, value in pairs:
-        setattr(obj, name, value)
+def _set_attr(obj, pair: tuple) -> None:
+    setattr(obj, *pair)
 
 
 def _put(d: dict, item: tuple) -> None:
@@ -229,6 +230,9 @@ class CompletionGraph:
         self.kb = kb
         self.unit = unit
         self.nodes: dict[NodeId, Node] = {}
+        # named individual -> its node; filled once by init_graph and
+        # shared by clones, since a named node is never merged away
+        self.individuals: dict[str, NodeId] = {}
         self.out_e: dict[NodeId, dict[NodeId, set[Property]]] = {}
         self.in_e: dict[NodeId, dict[NodeId, set[Property]]] = {}
         self.next_id = 0
@@ -247,11 +251,11 @@ class CompletionGraph:
 
     # -- construction and mutation -------------------------------------------
 
-    def new_node(self, origin: tuple, parent: NodeId | None = None) -> Node:
+    def new_node(self, kind: str, parent: NodeId | None = None) -> Node:
         if len(self.nodes) >= MAX_NODES:
             raise BudgetExceeded(f"more than {MAX_NODES} nodes")
         x = self.next_id
-        node = Node(x, origin, parent)
+        node = Node(x, kind, parent)
         node.ver = next(self._clock)
         self.nodes[x] = node
         self.out_e[x] = {}
@@ -344,11 +348,9 @@ class CompletionGraph:
             s.discard(item)
             self._trail.append((set.add, s, item))
 
-    def _reparent(self, node: Node, parent: NodeId, origin: tuple) -> None:
-        self._trail.append((_set_attrs, node, (("parent", node.parent),
-                                               ("origin", node.origin))))
+    def _reparent(self, node: Node, parent: NodeId) -> None:
+        self._trail.append((_set_attr, node, ("parent", node.parent)))
         node.parent = parent
-        node.origin = origin
 
     def _bump_all(self) -> None:
         """One fresh version for every node."""
@@ -385,6 +387,7 @@ class CompletionGraph:
             raise ValueError("cannot clone a graph with open branch points")
         g = CompletionGraph(self.kb, self.unit)
         g.nodes = {i: n.clone() for i, n in self.nodes.items()}
+        g.individuals = self.individuals
         g.out_e = {i: {j: set(s) for j, s in d.items()}
                    for i, d in self.out_e.items()}
         g.in_e = {i: {j: set(s) for j, s in d.items()}
@@ -434,7 +437,7 @@ class CompletionGraph:
     def blocked(self, x: NodeId) -> str:
         """The node's blocked kind: "direct", "indirect" or "" for none."""
         node = self.nodes[x]
-        if node.parent is None and node.origin[0] != "projected":
+        if node.parent is None and not node.projected:
             return ""  # roots, individuals and placeholders never block
         anc = node.parent
         while anc is not None:
@@ -528,7 +531,7 @@ class CompletionGraph:
             b = self.blocked(x)
             if b:
                 mark = f" [{b}ly blocked]"
-            lines.append(f"node {x} ({n.origin[0]}){mark}")
+            lines.append(f"node {x} ({n.kind}){mark}")
             for c in n.sorted_label():
                 lines.append(f"  {c.key()}")
             for j in sorted(n.corr):
@@ -557,14 +560,13 @@ def init_graph(kb: DistributedKB, unit: UnitId,
     if goal is not None and goal.home != unit:
         raise ValueError(f"goal lives in {goal.home}, graph belongs to {unit}")
     g = CompletionGraph(kb, unit)
-    root = g.new_node(("root",))
+    root = g.new_node("root")
     if goal is not None:
         g.add_label(root.id, nnf(goal))
     ukb = kb.units[unit]
-    by_name: dict[str, NodeId] = {}
+    by_name = g.individuals
     for ind in sorted(ukb.individual_names):
-        node = g.new_node(("abox", ind))
-        by_name[ind] = node.id
+        by_name[ind] = g.new_node("abox").id
     for ind, c in ukb.concept_assertions:
         g.add_label(by_name[ind], nnf(c))
     for a, p, b in ukb.role_assertions:
@@ -580,7 +582,7 @@ def init_graph(kb: DistributedKB, unit: UnitId,
                      key=lambda a: (a.local_ind, a.link, a.target_unit,
                                     a.foreign_ind)):
         prop = kb.link_property(unit, la.link)
-        placeholder = g.new_node(("foreign", la.target_unit, la.foreign_ind))
+        placeholder = g.new_node("foreign")
         g.set_corr(placeholder.id, la.target_unit,
                    target_individual=la.foreign_ind)
         g.add_edge(by_name[la.local_ind], placeholder.id, prop)
@@ -731,7 +733,7 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
         g._trail.append((dict.__delitem__, klabel, c))
     for y in {keep, *g.out_e[gone], *g.in_e[gone]} - {gone}:
         n = g.nodes[y]
-        g._trail.append((_set_attrs, n, (("cdeps", n.cdeps),)))
+        g._trail.append((_set_attr, n, ("cdeps", n.cdeps)))
         n.cdeps |= deps
     for z in list(gnode.distinct):
         g._discard(g.nodes[z].distinct, gone)
@@ -746,7 +748,7 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
                 g.add_edge(y, keep, p)
     for child in g.nodes.values():
         if child.parent == gone:
-            g._reparent(child, keep, ("generated", keep))
+            g._reparent(child, keep)
     for y in list(g.out_e[gone]):
         g._pop(g.in_e[y], gone)
     for y in list(g.in_e[gone]):
@@ -855,7 +857,7 @@ def _apply_action(g: CompletionGraph, action, bit: int = 0) -> None:
         _, x, prop, fillers, distinct, deps = action
         created = []
         for filler in fillers:
-            node = g.new_node(("generated", x), parent=x)
+            node = g.new_node("generated", parent=x)
             node.cdeps = deps
             g.add_label(node.id, filler, deps)
             g.add_edge(x, node.id, prop)

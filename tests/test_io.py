@@ -107,6 +107,37 @@ def test_reader_errors_carry_position(text, message, at):
     assert (err.value.line, err.value.col) == at
 
 
+@pytest.mark.parametrize("text, message, col", [
+    ("(sub A u2:1x)", "bad name 'u2:1x'", 8),
+    ("(sub A :B)", "bad name ':B'", 8),
+    ("(concept C D)", "(concept NAME) takes one name", 2),
+    ("(concept 1C)", "bad name '1C'", 10),
+    ("(subrole r)", "(subrole P P)", 2),
+    ("(transitive r r)", "(transitive P)", 2),
+    ("(instance a)", "(instance IND CEXPR)", 2),
+    ("(related a r)", "(related IND P IND)", 2),
+    ("(different a)", "(different IND IND)", 2),
+    ("(sub A)", "(sub CEXPR CEXPR)", 2),
+    ("(equiv A B A)", "(equiv CEXPR CEXPR)", 2),
+    ("(transitive u2:r)", "role 'u2:r' must be local", 13),
+    ("(sub A (not A B))", "(not CEXPR)", 9),
+    ("(sub A (and B))", "(and CEXPR CEXPR+)", 9),
+    ("(sub A (some r))", "(some P CEXPR)", 9),
+    ("(sub A (min 1 r))", "(min INT P CEXPR)", 9),
+    ("(sub A (min x r B))", "bad number 'x'", 13),
+    ("(sub A (xor A B))", "unknown constructor 'xor'", 9),
+], ids=["bad-qualified-name", "empty-unit-prefix", "declaration-arity",
+        "bad-declared-name", "subrole-arity", "transitive-arity",
+        "instance-arity", "related-arity", "different-arity", "sub-arity",
+        "equiv-arity", "foreign-role", "not-arity", "and-arity",
+        "some-arity", "min-arity", "bad-number", "unknown-constructor"])
+def test_form_errors_read_as_pinned(text, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_unit(_DECLARED + text)
+    assert str(err.value) == f"line 3, col {col}: {message}"
+    assert (err.value.line, err.value.col) == (3, col)
+
+
 @pytest.mark.parametrize("text", [
     "(sub A(not B)) ; trailing (",
     "\t(sub A   (not B))",
@@ -248,6 +279,41 @@ def test_coupling_foreign_side_outside_the_mapping_source(key, ref, side):
         parse_coupling(doc)
     assert str(err.value) == (
         f"{side} 'u3:b' is not in mapping source unit u2")
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"mappings": []}, "coupling document must be an object with a 'unit'"),
+    ("[]", "coupling document must be an object with a 'unit'"),
+    ({"unit": "u1", "mappings": [{"source_unit": "u2", "bridge_rules": [
+        {"kind": "onto", "source": "u2:A", "target": "u3:B"}]}]},
+     "bridge target 'u3:B' is not local"),
+    ({"unit": "u1", "mappings": [{"source_unit": "u2",
+                                  "individual_correspondences": [
+                                      {"foreign": "u2:x", "local": "u3:y"}]}]},
+     "correspondence local side 'u3:y' is not local"),
+    ({"unit": "u1", "link_assertions": [
+        {"from": "u1:y", "link": "r", "to": "u2:x"}]},
+     "link assertion uses undeclared link 'r'"),
+    ({"unit": "u1", "links": [{"name": "r", "target_unit": "u2"}],
+      "link_assertions": [{"from": "u2:y", "link": "r", "to": "u2:x"}]},
+     "link assertion source 'u2:y' is not local"),
+], ids=["no-unit", "not-an-object", "bridge-target", "correspondence-local",
+        "undeclared-link", "assertion-source"])
+def test_coupling_schema_errors_read_as_pinned(document, message):
+    with pytest.raises(SchemaError) as err:
+        parse_coupling(document)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("units, couplings, problem", [
+    (["(unit u1)", "(unit u1)"], [], "duplicate unit u1"),
+    (["(unit u1)"], [{"unit": "u1"}, {"unit": "u1"}],
+     "duplicate coupling document for u1"),
+], ids=["unit", "coupling"])
+def test_load_kb_names_a_duplicate_document(units, couplings, problem):
+    with pytest.raises(LoadError) as err:
+        load_kb(units, couplings)
+    assert err.value.problems == [problem]
 
 
 _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from ontomesh.model import (
     And, Atom, AtLeast, AtMost, Bottom, Concept, DistributedKB, Exists,
     ForAll, ModelError, Not, Or, Property, Top, UnitKB, Coupling, BridgeRule,
-    LinkDecl, make_and, make_or, neg, nnf, is_nnf, subconcepts,
+    IndividualCorrespondence, LinkAssertion, LinkDecl, make_and, make_or, neg, nnf, is_nnf, subconcepts,
 )
-from ontomesh.io import LoadError, load_kb, parse_concept
+from ontomesh.io import LoadError, load_kb, parse_concept, parse_unit
 
 from figures import conference_square_kb, conference_triangle_kb
 
@@ -258,6 +258,61 @@ def test_validate_names_the_unknown_atoms_of_a_bridge_rule():
         "unknown-concept [u1]: u2:Nope is not declared",
         "unknown-unit [u1]: u9:X names unit u9",
     ]
+
+
+_U2 = "(unit u2)\n(concept A)\n(concept B)\n(individual x)"
+
+
+@pytest.mark.parametrize("u1, coupling, violation", [
+    ("(concept A)\n(sub A (some r A))", {},
+     "unknown-property [u1]: u1:r is not declared"),
+    ("(role r)\n(subrole r s)", {},
+     "unknown-property [u1]: role s is not declared"),
+    ("(transitive t)", {},
+     "unknown-property [u1]: transitive role t is not declared"),
+    ("(individual a)\n(related a t a)", {},
+     "unknown-property [u1]: role t is not declared"),
+    ("(concept A)\n(instance z A)", {}, "unknown-individual [u1]: z"),
+    ("(concept B)", {"bridge_rules": [BridgeRule("onto", Atom("u2", "A"),
+                                                  Atom("u2", "B"))]},
+     "bridge-target [u1]: (onto u2:A u2:B) target is not local"),
+    ("(concept A)\n(concept B)",
+     {"bridge_rules": [BridgeRule("into", Atom("u1", "A"), Atom("u1", "B"))]},
+     "bridge-source [u1]: (into u1:A u1:B) source is not foreign"),
+    ("", {"links": [LinkDecl("e", "u9")]},
+     "unknown-unit [u1]: link e targets u9"),
+    ("(individual a)", {"individual_correspondences": [
+        IndividualCorrespondence("u9", "x", "a")]},
+     "unknown-unit [u1]: correspondence names unit u9"),
+    ("(individual a)", {"individual_correspondences": [
+        IndividualCorrespondence("u2", "nope", "a")]},
+     "unknown-individual [u1]: u2:nope"),
+    ("(individual a)", {"link_assertions": [
+        LinkAssertion("a", "e", "u2", "x")]},
+     "unknown-property [u1]: link e is not declared"),
+    ("(individual a)", {"links": [LinkDecl("e", "u2")], "link_assertions": [
+        LinkAssertion("a", "e", "u9", "x")]},
+     "unknown-unit [u1]: link assertion names unit u9"),
+    ("(individual a)", {"links": [LinkDecl("e", "u2")], "link_assertions": [
+        LinkAssertion("a", "e", "u2", "nope")]},
+     "unknown-individual [u1]: u2:nope"),
+], ids=["restriction-property", "role-inclusion", "transitive-role",
+        "role-assertion", "asserted-individual", "bridge-target",
+        "bridge-source", "link-target-unit", "correspondence-unit",
+        "correspondence-individual", "assertion-link",
+        "assertion-unit", "assertion-individual"])
+def test_validate_names_each_violation(u1, coupling, violation):
+    # coupling values that parse_coupling would reject go through build
+    units = {u.unit: u for u in map(parse_unit, [f"(unit u1)\n{u1}", _U2])}
+    kb = DistributedKB.build(units, {"u1": Coupling(holder="u1", **coupling)})
+    assert [str(v) for v in kb.validate()] == [violation]
+
+
+def test_validate_names_a_coupling_without_its_unit():
+    kb = DistributedKB.build({"u1": UnitKB(unit="u1")},
+                             {"u9": Coupling(holder="u9")})
+    assert [str(v) for v in kb.validate()] == [
+        "unknown-unit: coupling held by undeclared unit u9"]
 
 
 def test_validate_square_kb_clean():

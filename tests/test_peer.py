@@ -162,6 +162,18 @@ def test_classification_equivalence_classes():
     assert ("A", "C") in tax.edges
 
 
+def test_classification_reduces_a_chain_to_its_covering_edges():
+    kb = load_kb(["(unit u1)\n(concept A)\n(concept B)\n(concept C)\n"
+                  "(sub A B)\n(sub B C)"])
+    tax = _session(kb).classify("u1")
+    assert tax.edges == {("A", "B"), ("B", "C")}
+    assert tax.subsumptions == {("A", "B"), ("B", "C"), ("A", "C")}
+    assert tax.roots() == ["C"]
+    assert all(tax.is_below(a, a) for a in "ABC")
+    assert tax.is_below("A", "C")
+    assert not tax.is_below("C", "A")
+
+
 # -- hole fallback ---------------------------------------------------------------
 
 def test_hole_releases_constraint():

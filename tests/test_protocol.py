@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,25 +9,21 @@ from ontomesh.model import (
     And, Atom, AtLeast, AtMost, Bottom, Exists, ForAll, Not, Or, Property, Top,
 )
 from ontomesh.protocol import (
-    CacheOverflow, ProjectionCache, ProjectionPackage, serve_package,
+    CacheOverflow, ProjectionCache, ProjectionPackage, ProtocolError,
+    serve_package,
 )
-from ontomesh.tableau import ADDITIONS, Obligation, init_graph
+from ontomesh.tableau import ADDITIONS, CLASH, Obligation, init_graph
 
 
 B, D = Atom("u2", "B"), Atom("u2", "D")
 R = Property("r", "u2", "u2")
 E = Property("e", "u2", "u1")
 
-R_JSON = '{"name": "r", "home": "u2", "target": "u2", "inverted": false}'
-INV_R_JSON = '{"name": "r", "home": "u2", "target": "u2", "inverted": true}'
-E_JSON = '{"name": "e", "home": "u2", "target": "u1", "inverted": false}'
-B_JSON = '{"op": "atom", "unit": "u2", "name": "B"}'
-NOT_D_JSON = '{"op": "not", "arg": {"op": "atom", "unit": "u2", "name": "D"}}'
-
 
 def test_package_payload_is_pinned():
     # every concept constructor, an inverted role, a link relation and a
-    # named target individual; the encoding is what gets counted as bytes
+    # named target individual; each member travels as its concept key, and
+    # the encoding is what gets counted as bytes
     pkg = ProjectionPackage(id="u1-7", frm="u1", to="u2", origin="u1", items=(
         Obligation(0, "u2", (B, Not(D)), "b"),
         Obligation(3, "u2", (
@@ -36,23 +33,13 @@ def test_package_payload_is_pinned():
         ), None),
     ))
     expected = (
-        '{"id": "u1-7", "from": "u1", "to": "u2", "items": ['
-        '{"source_node": 0, "fragment": ['
-        f'{B_JSON}, {NOT_D_JSON}], '
-        '"target_individual": "b", "trigger_origin": "u1"}, '
-        '{"source_node": 3, "fragment": ['
-        '{"op": "or", "unit": "u2", "left": {"op": "top", "unit": "u2"}, '
-        '"right": {"op": "bot", "unit": "u2"}}, '
-        '{"op": "and", "unit": "u2", '
-        f'"left": {{"op": "some", "prop": {INV_R_JSON}, "filler": {B_JSON}}}, '
-        f'"right": {{"op": "all", "prop": {E_JSON}, '
-        '"filler": {"op": "atom", "unit": "u1", "name": "A"}}}, '
-        '{"op": "and", "unit": "u2", '
-        f'"left": {{"op": "min", "prop": {R_JSON}, "filler": {B_JSON}, '
-        '"n": 2}, '
-        f'"right": {{"op": "max", "prop": {R_JSON}, "filler": {NOT_D_JSON}, '
-        '"n": 1}}], '
-        '"target_individual": null, "trigger_origin": "u1"}]}'
+        '{"id": "u1-7", "from": "u1", "to": "u2", "origin": "u1", "items": ['
+        '{"source_node": 0, "fragment": ["u2:B", "(not u2:D)"], '
+        '"target_individual": "b"}, '
+        '{"source_node": 3, "fragment": ["(or@u2 u2:*top* u2:*bot*)", '
+        '"(and@u2 (some inv u2:r u2:B) (all u2:e->u1 u1:A))", '
+        '"(and@u2 (min 2 u2:r u2:B) (max 1 u2:r (not u2:D)))"], '
+        '"target_individual": null}]}'
     )
     assert json.dumps(pkg.to_payload()) == expected
 
@@ -105,13 +92,14 @@ def test_store_raises_cache_overflow_past_the_byte_budget(monkeypatch):
     answer = (("additions", ()),)
     size = len(pkg.content_bytes()) + 64
     monkeypatch.setattr(ontomesh.protocol, "BYTE_BUDGET", size)
+    to_u3 = replace(pkg, to="u3")
     cache = ProjectionCache()
-    cache.store("u2", pkg, answer)
-    assert cache.lookup("u2", pkg) == answer
-    cache.store("u2", pkg, answer)   # stored once, counted once
+    cache.store(pkg, answer)
+    assert cache.lookup(pkg) == answer
+    cache.store(pkg, answer)   # stored once, counted once
     with pytest.raises(CacheOverflow):
-        cache.store("u3", pkg, answer)
-    assert cache.lookup("u3", pkg) is None
+        cache.store(to_u3, answer)
+    assert cache.lookup(to_u3) is None
 
 
 # -- serving -----------------------------------------------------------------------
@@ -142,6 +130,29 @@ def test_serve_ships_forced_literals_derived_after_a_choice():
     assert asked and set(asked) == {"u3"}
     assert outcomes == ((ADDITIONS, (Atom("u1", "Z"), Atom("u3", "Q"))),
                         (ADDITIONS, ()))
+
+
+@pytest.mark.parametrize("target,outcome", [
+    ("b", ((CLASH, None),)),        # lands on b, which is not B
+    (None, ((ADDITIONS, ()),)),     # a new node
+])
+def test_serve_places_a_named_item_on_its_individual(target, outcome):
+    kb = load_kb(["(unit u1)\n(concept A)",
+                  "(unit u2)\n(concept B)\n(individual b)\n"
+                  "(instance b (not B))"])
+    pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", origin="u1",
+                            items=(Obligation(0, "u2", (B,), target),))
+    assert serve_package(pkg, init_graph(kb, "u2").clone) == outcome
+
+
+def test_serve_rejects_an_individual_the_unit_lacks():
+    kb = load_kb(["(unit u1)\n(concept A)",
+                  "(unit u2)\n(concept B)\n(individual b)"])
+    pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", origin="u1",
+                            items=(Obligation(0, "u2", (B,), "c"),))
+    with pytest.raises(ProtocolError, match=(
+            r"^projection names unknown individual 'c' of u2$")):
+        serve_package(pkg, init_graph(kb, "u2").clone)
 
 
 # -- holes ---------------------------------------------------------------------

@@ -317,10 +317,10 @@ def test_pairwise_blocking_tells_inverse_roles_apart(last, kind):
     g = tableau.CompletionGraph(kb, "u1")
     a, b = Atom("u1", "A"), Atom("u1", "B")
     r = Property("r", "u1", "u1")
-    g.add_label(g.new_node(("root",)).id, a)
+    g.add_label(g.new_node("root").id, a)
     edges = [r.inverse(), r, Property(last, "u1", "u1").inverse()]
     for x, (prop, c) in enumerate(zip(edges, (b, a, b))):
-        y = g.new_node(("generated", x), parent=x).id
+        y = g.new_node("generated", parent=x).id
         g.add_edge(x, y, prop)
         g.add_label(y, c)
     assert g.blocked(3) == kind
@@ -643,9 +643,8 @@ def test_label_and_distinct_changes_bump_neighbor_versions():
 (related a r b)
 """)
     g = init_graph(kb, "u1")
-    ids = {n.origin: x for x, n in g.nodes.items()}
-    x, y, z = (ids[("abox", name)] for name in "abc")
-    root = ids[("root",)]
+    x, y, z = (g.individuals[name] for name in "abc")
+    root = 0
     before = {i: n.ver for i, n in g.nodes.items()}
     assert g.add_label(y, Atom("u1", "A"))
     assert g.nodes[y].ver > before[y]
@@ -745,7 +744,7 @@ def _assert_state(g, state):
         n = g.nodes[x]
         assert n.id == x
         assert n.label == old.label and n.distinct == old.distinct
-        assert (n.parent, n.origin) == (old.parent, old.origin)
+        assert (n.parent, n.kind) == (old.parent, old.kind)
         assert sorted(n.corr) == sorted(old.corr)
         for u, st in old.corr.items():
             now = n.corr[u]
