@@ -193,11 +193,19 @@ class Bottom(Constant):
 
 
 class Atom(Concept):
-    __slots__ = _fields = ("unit", "name")
+    __slots__ = ("unit", "name", "_negation")
+    _fields = ("unit", "name")
     op = "atom"
 
     def __new__(cls, unit: UnitId, name: str):
         return cls._intern((unit, name), unit)
+
+    def negation(self) -> "Not":
+        """Not(self), kept alive with the atom, as a role keeps its inverse:
+        the tableau asks for it at every insert of the atom."""
+        if not hasattr(self, "_negation"):
+            object.__setattr__(self, "_negation", Not(self))
+        return self._negation
 
     def _make_key(self):
         return f"{self.unit}:{self.name}"

@@ -58,13 +58,13 @@ through projection, so a branch expands entirely locally before any
 message leaves.
 
 Undo runs on a trail, after MiniSat (Een & Sorensson 2003).  Every change
-to the graph (a node, a label member with its dependency set, an edge, a
-distinct pair, a correspondence state, a creation set, a version, each step
-of a merge) appends one undo record holding the old value.  A branch point
-keeps the trail length as its mark; jumping back to it pops records and
-undoes them in reverse order until the trail is that long again, which
-also undoes every branch point above it.  Nothing is copied: a jump costs
-the work done since the mark.
+to the graph (a node, a label member with its dependency set, a clash
+count, an edge, a distinct pair, a correspondence state, a creation set, a
+version, each step of a merge) appends one undo record holding the old
+value.  A branch point keeps the trail length as its mark; jumping back to
+it pops records and undoes them in reverse order until the trail is that
+long again, which also undoes every branch point above it.  Nothing is
+copied: a jump costs the work done since the mark.
 
 Expansion is incremental.  Every node carries a version drawn from a
 per-graph counter that never goes back (clones share it); any change that a
@@ -76,6 +76,11 @@ reads.  The engine remembers the (node, version, blocked kind) keys at
 which a rule phase or the clash check found nothing and skips them, which
 keeps the firing order of a full rescan.  A clone starts with its source's
 rule memos: clones share the clock, so a key names the same state in both.
+A node also counts its clash pairs (Bottoms, and negations whose operand
+is a member) as members arrive, with one lookup each, and the trail undoes
+the count, so the clash check scans a label only when its count is not
+zero.  Each rule reads only its own constructors' members, in key order,
+from views grouped once per version and shared by clones.
 
 A skeleton is closed once (close_deterministic): the ce rule and the local
 phase run at every node until nothing changes, with no clash check,
@@ -93,7 +98,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .model import (
     And,
@@ -154,7 +159,7 @@ class CorrState(NamedTuple):
 
 class Node:
     __slots__ = ("id", "label", "kind", "parent", "distinct", "corr", "ver",
-                 "cdeps")
+                 "cdeps", "clashes", "views")
 
     def __init__(self, id: NodeId, kind: str, parent: NodeId | None = None):
         self.id = id
@@ -168,14 +173,9 @@ class Node:
         self.corr: dict[UnitId, CorrState] = {}
         self.ver = 0
         self.cdeps = 0  # the dependency set of the node's creation
-
-    @property
-    def generated(self) -> bool:
-        return self.kind == "generated"
-
-    @property
-    def projected(self) -> bool:
-        return self.kind == "projected"
+        self.clashes = 0  # Bottoms, and negations whose operand is a member
+        # (version, the label grouped by op, each group in key order)
+        self.views: tuple[int, dict[str, list[Concept]]] = (-1, {})
 
     def clone(self) -> "Node":
         n = Node(self.id, self.kind, self.parent)
@@ -184,10 +184,19 @@ class Node:
         n.corr = dict(self.corr)
         n.ver = self.ver
         n.cdeps = self.cdeps
+        n.clashes = self.clashes
+        n.views = self.views
         return n
 
-    def sorted_label(self) -> list[Concept]:
-        return sorted(self.label, key=by_key)
+    def members(self, op: str) -> Sequence[Concept]:
+        """The label's members of one op, in key order."""
+        ver, views = self.views
+        if ver != self.ver:
+            views = {}
+            for c in sorted(self.label, key=by_key):
+                views.setdefault(c.op, []).append(c)
+            self.views = self.ver, views
+        return views.get(op, ())
 
 
 @dataclass(frozen=True)
@@ -268,12 +277,19 @@ class CompletionGraph:
 
     def add_label(self, node: NodeId, c: Concept, deps: int = 0) -> bool:
         """Add c to the node's label, depending on the branch points in
-        deps; a member already there keeps its own set."""
-        label = self.nodes[node].label
+        deps; a member already there keeps its own set.  One lookup counts
+        the clash pair that c makes, if any."""
+        n = self.nodes[node]
+        label = n.label
         if c in label:
             return False
         label[c] = deps
         self._trail.append((dict.__delitem__, label, c))
+        op = c.op
+        if (op == "bot" or op == "not" and c.operand in label
+                or op == "atom" and c.negation() in label):
+            self._trail.append((_set_attr, n, ("clashes", n.clashes)))
+            n.clashes += 1
         self._bump_around(node)
         return True
 
@@ -437,7 +453,7 @@ class CompletionGraph:
     def blocked(self, x: NodeId) -> str:
         """The node's blocked kind: "direct", "indirect" or "" for none."""
         node = self.nodes[x]
-        if node.parent is None and not node.projected:
+        if node.parent is None and node.kind != "projected":
             return ""  # roots, individuals and placeholders never block
         anc = node.parent
         while anc is not None:
@@ -448,12 +464,12 @@ class CompletionGraph:
 
     def _directly_blocked(self, x: NodeId) -> bool:
         node = self.nodes[x]
-        if node.projected:
+        if node.kind == "projected":
             for y, other in self.nodes.items():
                 if y < x and node.label.keys() <= other.label.keys():
                     return True
             return False
-        if not node.generated or node.parent is None:
+        if node.kind != "generated" or node.parent is None:
             return False
         xp = node.parent
         x_edge = self._edge_labels(xp, x)
@@ -478,20 +494,35 @@ class CompletionGraph:
     # -- clash detection ---------------------------------------------------------
 
     def detect_clash(self, x: NodeId, b: str) -> ClashInfo | None:
-        """A clash at x, whose blocked kind is b, if any.  Of several Bottom
-        and complement clashes the one with the smallest set is taken,
-        which jumps furthest; ties go to the earliest member in insertion
-        order, which is the same in every process (a set's hash order is
-        not)."""
-        label = self.nodes[x].label
+        """A clash at x, whose blocked kind is b, if any.  The label is
+        scanned for a Bottom or complement pair only when its count says
+        one is there, and for an at-most clash only when it holds one."""
+        node = self.nodes[x]
+        return self._clash(node, b, node.clashes, node.members("max"))
+
+    def first_clash(self) -> ClashInfo | None:
+        """The first clash in node order, by full scans that read neither
+        the clash counts nor the views: the reference for detect_clash."""
+        for x in sorted(self.nodes):
+            info = self._clash(self.nodes[x], self.blocked(x), True, True)
+            if info:
+                return info
+        return None
+
+    def _clash(self, node: Node, b: str, pairs, atmost) -> ClashInfo | None:
+        """Of several Bottom and complement clashes the one with the
+        smallest set is taken, which jumps furthest; ties go to the earliest
+        member in insertion order, which is the same in every process (a
+        set's hash order is not).  pairs and atmost say which scans run."""
+        x, label = node.id, node.label
         found = None
-        for c, d in label.items():
-            if isinstance(c, Not) and c.operand in label:
+        for c, d in label.items() if pairs else ():
+            if c.op == "not" and c.operand in label:
                 d |= label[c.operand]
-            elif not isinstance(c, Bottom):
+            elif c.op != "bot":
                 continue
             if found is None or d < found.deps:
-                reason = ("bottom in label" if isinstance(c, Bottom)
+                reason = ("bottom in label" if c.op == "bot"
                           else f"{c.operand.key()} and its negation")
                 found = ClashInfo(x, reason, d)
                 if not d:
@@ -506,19 +537,12 @@ class CompletionGraph:
                     if c.home != self.unit:
                         d |= dc
                 return ClashInfo(x, reason, d)
-        for c in label:
-            if isinstance(c, AtMost) and _has_distinct(
+        for c in label if atmost else ():
+            if c.op == "max" and _has_distinct(
                     self, _witnesses(self, x, c), c.n + 1):
                 return ClashInfo(
                     x, f"{c.key()} with {c.n + 1} distinct witnesses",
                     self.open_deps())
-        return None
-
-    def first_clash(self) -> ClashInfo | None:
-        for x in sorted(self.nodes):
-            info = self.detect_clash(x, self.blocked(x))
-            if info:
-                return info
         return None
 
     # -- diagnostics ------------------------------------------------------------
@@ -532,7 +556,7 @@ class CompletionGraph:
             if b:
                 mark = f" [{b}ly blocked]"
             lines.append(f"node {x} ({n.kind}){mark}")
-            for c in n.sorted_label():
+            for c in sorted(n.label, key=by_key):
                 lines.append(f"  {c.key()}")
             for j in sorted(n.corr):
                 st = n.corr[j]
@@ -596,8 +620,8 @@ def init_graph(kb: DistributedKB, unit: UnitId,
 def _and_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
     label = node.label
-    for c in node.sorted_label():
-        if isinstance(c, And) and (c.left not in label or c.right not in label):
+    for c in node.members("and"):
+        if c.left not in label or c.right not in label:
             return ("add", x, [c.left, c.right], label[c])
     return None
 
@@ -623,8 +647,8 @@ def branch_order(d: Concept) -> tuple:
 def _or_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
     label = node.label
-    for c in node.sorted_label():
-        if isinstance(c, Or) and c.left not in label and c.right not in label:
+    for c in node.members("or"):
+        if c.left not in label and c.right not in label:
             alts = sorted({c.left, c.right}, key=branch_order)
             return ("branch", [("add", x, [d], label[c]) for d in alts])
     return None
@@ -633,36 +657,34 @@ def _or_rule(g: CompletionGraph, x: NodeId):
 def _forall_rule(g: CompletionGraph, x: NodeId):
     """The value rule, then the forall-plus rule, per value restriction."""
     node = g.nodes[x]
-    for c in node.sorted_label():
-        if isinstance(c, ForAll):
-            for y in g.forall_targets(x, c.prop):
+    for c in node.members("all"):
+        for y in g.forall_targets(x, c.prop):
+            target = g.nodes[y]
+            if c.filler not in target.label:
+                return ("add", y, [c.filler], node.label[c]
+                        | node.cdeps | target.cdeps)
+        for r in g.kb.transitive_subroles(c.prop):
+            d = ForAll(r, c.filler)
+            for y in g.successors(x, r):
                 target = g.nodes[y]
-                if c.filler not in target.label:
-                    return ("add", y, [c.filler], node.label[c]
+                if d not in target.label:
+                    return ("add", y, [d], node.label[c]
                             | node.cdeps | target.cdeps)
-            for r in g.kb.transitive_subroles(c.prop):
-                d = ForAll(r, c.filler)
-                for y in g.successors(x, r):
-                    target = g.nodes[y]
-                    if d not in target.label:
-                        return ("add", y, [d], node.label[c]
-                                | node.cdeps | target.cdeps)
     return None
 
 
 def _exists_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
-    for c in node.sorted_label():
-        if isinstance(c, Exists) and not _witnesses(g, x, c):
+    for c in node.members("some"):
+        if not _witnesses(g, x, c):
             return ("generate", x, c.prop, [c.filler], False, node.label[c])
     return None
 
 
 def _atleast_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
-    for c in node.sorted_label():
-        if isinstance(c, AtLeast) and not _has_distinct(
-                g, _witnesses(g, x, c), c.n):
+    for c in node.members("min"):
+        if not _has_distinct(g, _witnesses(g, x, c), c.n):
             return ("generate", x, c.prop, [c.filler] * c.n, True,
                     node.label[c])
     return None
@@ -684,42 +706,33 @@ def _has_distinct(g: CompletionGraph, nodes: list[NodeId], k: int) -> bool:
 
 def _choose_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
-    for c in node.sorted_label():
-        if isinstance(c, (AtLeast, AtMost)):
-            f, nf = c.filler, neg(c.filler)
-            for y in g.successors(x, c.prop):
-                target = g.nodes[y]
-                if f not in target.label and nf not in target.label:
-                    alts = sorted((f, nf), key=branch_order)
-                    deps = node.label[c] | node.cdeps | target.cdeps
-                    return ("branch", [("add", y, [d], deps) for d in alts])
+    # at-most before at-least, which is key order
+    for c in itertools.chain(node.members("max"), node.members("min")):
+        f, nf = c.filler, neg(c.filler)
+        for y in g.successors(x, c.prop):
+            target = g.nodes[y]
+            if f not in target.label and nf not in target.label:
+                alts = sorted((f, nf), key=branch_order)
+                deps = node.label[c] | node.cdeps | target.cdeps
+                return ("branch", [("add", y, [d], deps) for d in alts])
     return None
 
 
 def _atmost_rule(g: CompletionGraph, x: NodeId):
-    for c in g.nodes[x].sorted_label():
-        if isinstance(c, AtMost):
-            witnesses = _witnesses(g, x, c)
-            if len(witnesses) <= c.n:
-                continue
-            pairs = []
-            for keep, gone in itertools.permutations(witnesses, 2):
-                if gone in g.nodes[keep].distinct:
-                    continue
-                if not _mergeable_away(g, gone):
-                    continue
-                pairs.append((keep, gone))
-            pairs.sort(key=lambda p: (-p[1], p[0]))
-            if pairs:
-                return ("branch", [("merge", k, m) for k, m in pairs])
+    for c in g.nodes[x].members("max"):
+        witnesses = _witnesses(g, x, c)
+        if len(witnesses) <= c.n:
+            continue
+        # only a generated node with no projection partner yet merges away
+        pairs = [(keep, gone)
+                 for keep, gone in itertools.permutations(witnesses, 2)
+                 if gone not in g.nodes[keep].distinct
+                 and g.nodes[gone].kind == "generated"
+                 and not g.nodes[gone].corr]
+        pairs.sort(key=lambda p: (-p[1], p[0]))
+        if pairs:
+            return ("branch", [("merge", k, m) for k, m in pairs])
     return None
-
-
-def _mergeable_away(g: CompletionGraph, y: NodeId) -> bool:
-    """Merges are confined to nodes that have no projection partner yet
-    and are not roots or named individuals."""
-    node = g.nodes[y]
-    return node.generated and not node.corr
 
 
 def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
@@ -727,10 +740,8 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
     keep and of gone's neighbours, depend on every open branch point."""
     deps = g.open_deps()
     gnode = g.nodes[gone]
-    klabel = g.nodes[keep].label
-    for c in [c for c in gnode.label if c not in klabel]:
-        klabel[c] = deps
-        g._trail.append((dict.__delitem__, klabel, c))
+    for c in list(gnode.label):
+        g.add_label(keep, c, deps)
     for y in {keep, *g.out_e[gone], *g.in_e[gone]} - {gone}:
         n = g.nodes[y]
         g._trail.append((_set_attr, n, ("cdeps", n.cdeps)))

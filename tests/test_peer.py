@@ -485,6 +485,31 @@ def test_negated_into_source_needs_no_correspondent():
     assert _session(kb).is_satisfiable(goal)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: u2's serve chooses (not u1:A) on the projected node, "
+    "which mirrors its requester, so it sends nothing back and holds the "
+    "choice back from its answer; the requester's u1:A never meets it"))
+def test_served_choice_about_the_requesters_vocabulary_is_checked():
+    # the goal element needs a correspondent in X, which is in Y since its
+    # correspondent is in A, and then needs a correspondent in B: the one
+    # correspondence per unit pair leads back to the goal element
+    kb = load_kb(["(unit u1)\n(concept A)\n(concept B)\n(role r)",
+                  "(unit u2)\n(concept X)\n(concept Y)\n(role s)"],
+                 [{"unit": "u1", "mappings": [{
+                     "source_unit": "u2", "bridge_rules": [
+                         {"kind": "onto", "source": "u2:X",
+                          "target": "u1:A"}]}]},
+                  {"unit": "u2", "mappings": [{
+                      "source_unit": "u1", "bridge_rules": [
+                          {"kind": "into", "source": "u1:A",
+                           "target": "u2:Y"},
+                          {"kind": "onto", "source": "u1:B",
+                           "target": "u2:Y"}]}]}])
+    goal = parse_concept("(and A (not B))", "u1")
+    assert oracle_satisfiable(kb, goal, domain_bound=1) is False
+    assert _session(kb).is_satisfiable(goal) is False
+
+
 # -- re-entrant serving --------------------------------------------------------------
 
 def _reentrant_kb():

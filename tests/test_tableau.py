@@ -1,10 +1,13 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontomesh import tableau
 from ontomesh.io import load_kb, parse_concept
-from ontomesh.model import Atom, Bottom, Not, Property, Top
+from ontomesh.model import (
+    CONSTRUCTORS, Atom, Bottom, Not, Property, Top, by_key,
+)
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import LoopbackSession, PeerConfig
 from ontomesh.tableau import (
@@ -17,6 +20,7 @@ from figures import (
     articles_linked_kb, articles_overlap_kb, conference_square_kb,
     conference_triangle_kb, transitive_abox_kb,
 )
+from strategies import concepts
 
 
 def _kb(*units, couplings=()):
@@ -365,7 +369,7 @@ def test_square_root_expansion_matches_worked_example():
     assert expand_local(g)
     # the goal node forces a presentedAt successor carrying the negated
     # event constraint and the propagated conference constraint
-    succ = [n for n in g.nodes.values() if n.generated]
+    succ = [n for n in g.nodes.values() if n.kind == "generated"]
     assert succ, "link successor expected"
     labels = set()
     for n in succ:
@@ -726,6 +730,89 @@ def test_clone_of_a_closed_skeleton_skips_its_local_phase(monkeypatch):
     assert one_step(copy) == set(skeleton.nodes)
 
 
+# -- clash counts and kind views ---------------------------------------------
+
+def _assert_derived_state(g):
+    """Each node's clash count and kind views equal a recount over its
+    label."""
+    for n in g.nodes.values():
+        label = n.label
+        assert n.clashes == sum(
+            c.op == "bot" or c.op == "not" and c.operand in label
+            for c in label), (n.id, label)
+        for op in CONSTRUCTORS:
+            assert list(n.members(op)) == [
+                c for c in sorted(label, key=by_key) if c.op == op]
+
+
+_MEMBERS = st.one_of(concepts(1, numbers=True),
+                     st.sampled_from([Bottom("u1"), Top("u1")]))
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 3), _MEMBERS,
+              st.integers(0, 3)),
+    st.tuples(st.just("merge"), st.integers(0, 3), st.integers(1, 3)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(0, 3)),
+    st.tuples(st.just("clone"))), max_size=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_STEPS)
+def test_clash_counts_and_views_match_a_recount(steps):
+    """Labels grow by add_label and _merge and shrink by restore; clones
+    copy the counts and share the views.  After every step, both equal a
+    recount."""
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(concept C)\n(role r)")
+    g = init_graph(kb, "u1")
+    r = Property("r", "u1", "u1")
+    for _ in range(3):
+        g.add_edge(0, g.new_node("generated", parent=0).id, r)
+    marks = []
+    for step in steps:
+        ids = sorted(g.nodes)
+        if step[0] == "add":
+            _, x, c, deps = step
+            g.add_label(ids[x % len(ids)], c, deps)
+        elif step[0] == "merge":
+            _, keep, gone = step
+            keep, gone = ids[keep % len(ids)], ids[gone % len(ids)]
+            if keep != gone and g.nodes[gone].kind == "generated":
+                tableau._merge(g, keep, gone)
+        elif step[0] == "snapshot":
+            marks.append(g.snapshot())
+        elif step[0] == "restore" and marks:
+            del marks[step[1] % len(marks) + 1:]
+            g.restore(marks[-1])
+        elif step[0] == "clone":
+            g, marks = g.clone(), []
+        _assert_derived_state(g)
+
+
+A, B = Atom("u1", "A"), Atom("u1", "B")
+
+
+@pytest.mark.parametrize("members,reason,deps", [
+    # the smallest set wins, whichever kind of clash carries it
+    ([(A, 4), (Bottom("u1"), 2), (Not(A), 0)], "bottom in label", 2),
+    ([(Bottom("u1"), 6), (A, 1), (Not(A), 0)], "u1:A and its negation", 1),
+    ([(Not(B), 2), (B, 0), (A, 1), (Not(A), 0)], "u1:A and its negation", 1),
+    # a tie goes to the earliest member in insertion order: a complement
+    # pair stands where its negation was inserted
+    ([(Bottom("u1"), 1), (B, 1), (Not(B), 0)], "bottom in label", 1),
+    ([(B, 1), (Not(B), 0), (Bottom("u1"), 1)], "u1:B and its negation", 1),
+    ([(A, 2), (Not(B), 2), (Not(A), 0), (B, 0)], "u1:B and its negation", 2),
+    ([(Not(A), 2), (A, 0), (B, 2), (Not(B), 0)], "u1:A and its negation", 2),
+])
+def test_detect_clash_takes_the_smallest_set_then_the_earliest_member(
+        members, reason, deps):
+    g = init_graph(_kb("(unit u1)\n(concept A)\n(concept B)"), "u1")
+    for c, d in members:
+        g.add_label(0, c, d)
+    expected = tableau.ClashInfo(0, reason, deps)
+    assert g.detect_clash(0, "") == expected
+    assert g.first_clash() == expected
+
+
 # -- the trail -------------------------------------------------------------------
 
 def _copied_state(g):
@@ -752,6 +839,7 @@ def _assert_state(g, state):
                 == (st.target_individual, st.requester, st.sent_fragment)
         assert n.ver == old.ver
         assert n.cdeps == old.cdeps
+        assert n.clashes == old.clashes
     assert g.out_e == out_e and g.in_e == in_e
     assert all(s for d in g.out_e.values() for s in d.values())
     assert all(s for d in g.in_e.values() for s in d.values())
@@ -772,8 +860,9 @@ def checked_trail(monkeypatch):
     """Keep a copy of the graph state at every snapshot(), and check that
     every restore() brings that state back exactly; at every step of
     expand_local, check that each dependency set and each clash's set names
-    only open branch points.  Counts restores, restores that brought back
-    a node a merge had deleted, and steps."""
+    only open branch points, and that each node's clash count and kind
+    views equal a recount.  Counts restores, restores that brought back a
+    node a merge had deleted, and steps."""
     steps = Counter()
     states = {}
     snapshot = tableau.CompletionGraph.snapshot
@@ -782,6 +871,7 @@ def checked_trail(monkeypatch):
 
     def checked_sweep(g, clash_memo):
         steps["tagged"] += _assert_open_deps(g)
+        _assert_derived_state(g)
         clash, keyed = sweep(g, clash_memo)
         assert clash is None or not clash.deps & ~g.open_deps()
         steps["steps"] += 1
