@@ -40,6 +40,21 @@ adds the set to that point's failures, and takes the next alternative; a
 point without one passes its failures, less its own bit, further down, and
 an empty set means no branch can succeed.
 
+The or rule tries a disjunction's alternatives in the order (refuted,
+needs projection, branch_order) of disjunct_order.  A literal whose
+complement is a member is refuted and goes last.  Trying it first would
+clash at once and jump straight back, so the other alternative carries
+the same set, the disjunction's plus bit k, in either order; and if that
+one fails, the refuted one then adds the same set, the disjunction's, its
+complement's and bit k, to the point's failures.  So the order changes no
+dependency set, only the branch points and backtracks taken.  A disjunct
+whose home is another unit needs a projection, unless the node's state
+toward that unit names a requester, since a projected node sends nothing
+back to the unit it mirrors; one that needs none goes first, so a peer
+asks a neighbour only for a choice that no local one can stand for.  The
+choose rule orders its fillers by branch_order alone: they share a home,
+and neither can be refuted, since the rule fires only while both are out.
+
 Unfold is lazy unfolding (Baader et al. 1994; Horrocks & Tobies, KR 2000):
 a GCI A subsumed-by C with an atom A of the unit is absorbed, not
 internalized, and an atom A in an unblocked node's label adds every such C
@@ -640,8 +655,29 @@ def _unfold_rule(g: CompletionGraph, x: NodeId):
 def branch_order(d: Concept) -> tuple:
     """Canonical exploration order for alternatives: cheapest commitment
     first (literals before anything that can spawn structure), ties broken
-    by serialization.  Deterministic, so runs and cache keys reproduce."""
+    by serialization.  Deterministic, so runs and cache keys reproduce.
+    The choose rule orders its fillers by it alone.  The or rule puts two
+    costs before it (disjunct_order): a refuted disjunct goes last, which
+    keeps every dependency set (module docstring), and one that needs a
+    projection goes after those that need none."""
     return (len(subconcepts(d)), d.key())
+
+
+def disjunct_order(g: CompletionGraph, node: Node, d: Concept) -> tuple:
+    """The or rule's sort key for a disjunct d at node: (refuted, needs
+    projection, branch_order).  Refuted: d is a literal whose complement
+    is a member, found with one lookup.  Needs projection: d's home is
+    another unit, and the node's state toward it names no requester.  It
+    reads only the node's label and correspondences, whose changes bump
+    the node's version, so the rule memo stays exact."""
+    label = node.label
+    op = d.op
+    refuted = (op == "atom" and d.negation() in label
+               or op == "not" and d.operand in label)
+    home = d.home
+    st = node.corr.get(home)
+    remote = home != g.unit and (st is None or st.requester is None)
+    return refuted, remote, branch_order(d)
 
 
 def _or_rule(g: CompletionGraph, x: NodeId):
@@ -649,7 +685,8 @@ def _or_rule(g: CompletionGraph, x: NodeId):
     label = node.label
     for c in node.members("or"):
         if c.left not in label and c.right not in label:
-            alts = sorted({c.left, c.right}, key=branch_order)
+            alts = sorted({c.left, c.right},
+                          key=lambda d: disjunct_order(g, node, d))
             return ("branch", [("add", x, [d], label[c]) for d in alts])
     return None
 

@@ -153,11 +153,13 @@ def conference_square_kb():
     return load_kb([u1, u2, u3, u4], [c1, c2, c3])
 
 
-def transitive_abox_kb(bad: int | None, m: int = 4):
+def transitive_abox_kb(bad: int | None, m: int = 4,
+                       hedge: int | None = None):
     """a0..a{m-1} chained by the transitive role r, each in (or A B); u2:Y
     maps into u1:A and every b{i} in u2:X, below Y, corresponds to a{i}.
     So every a{i} is in A, and a{bad} in (not A) makes the KB
-    inconsistent."""
+    inconsistent.  a{hedge}, if given, is also in (or (not u2:X) u2:Y),
+    whose first disjunct its correspondent refutes through a projection."""
     u1 = ["(unit u1)", "(concept A)", "(concept B)", "(role r)",
           "(transitive r)"]
     u1 += [f"(individual a{i})" for i in range(m)]
@@ -168,6 +170,8 @@ def transitive_abox_kb(bad: int | None, m: int = 4):
     u1.append("(instance a0 (all r (or A B)))")
     if bad is not None:
         u1.append(f"(instance a{bad} (not A))")
+    if hedge is not None:
+        u1.append(f"(instance a{hedge} (or (not u2:X) u2:Y))")
     u2 = ["(unit u2)", "(concept X)", "(concept Y)", "(sub X Y)"]
     u2 += [f"(individual b{i})" for i in range(m)]
     u2 += [f"(instance b{i} X)" for i in range(m)]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -253,6 +254,20 @@ def test_metrics_fresh_peer_all_zero():
     assert all(v == 0 for d in snap.values() for v in d.values())
 
 
+def test_metrics_snapshot_is_a_copy():
+    s = _session(conference_triangle_kb())
+    assert s.is_satisfiable(parse_concept("PediatricConference", "u3"))
+    snap = s.metrics_snapshot()
+    assert snap == {u: dataclasses.asdict(p.metrics)
+                    for u, p in s.peers.items()}
+    assert snap["u3"]["packages_sent"] > 0
+    for d in snap.values():
+        for k in d:
+            d[k] += 1
+    assert s.metrics_snapshot() == {u: {k: v - 1 for k, v in d.items()}
+                                    for u, d in snap.items()}
+
+
 def test_cache_hit_on_identical_goal():
     # a satisfiable goal whose expansion projects; the second run answers
     # from the cache without touching the wire
@@ -452,6 +467,20 @@ def test_reverse_cycle_satisfiable_with_reverse_updates():
     assert _session(_reverse_cycle_kb()).is_satisfiable(Atom("u1", "A"))
 
 
+def test_served_node_prefers_its_requesters_literal_to_a_projecting_one():
+    # u2 holds (or (not u1:A) u2:D) and (or (not u2:D) u3:E).  A node that
+    # mirrors u1 sends nothing back to u1, so (not u1:A) costs no
+    # projection; u2:D would force u3:E and a projection to u3
+    g = tableau.init_graph(_reverse_cycle_kb(), "u2")
+    x = g.new_node("projected").id
+    g.set_corr(x, "u1", requester=("u1", 0))
+    g.add_label(x, Atom("u2", "B"))
+    assert tableau.expand_local(g)
+    label = g.nodes[x].label
+    assert Not(Atom("u1", "A")) in label and Atom("u2", "D") not in label
+    assert [ob for ob in tableau.collect_obligations(g) if ob.node == x] == []
+
+
 def test_reverse_updates_off_hook_answers_no_literals():
     # u2's serve of u2:B unfolds it to u1:Z, which it answers back
     kb = load_kb(["(unit u1)\n(concept Z)",
@@ -510,17 +539,31 @@ def test_served_choice_about_the_requesters_vocabulary_is_checked():
     assert _session(kb).is_satisfiable(goal) is False
 
 
+def test_consistent_abox_chooses_without_projecting():
+    # every a{i} takes the local A, which its correspondent's X forces
+    # anyway; a{2} in (not A) refutes A, so (not u2:Y) goes alone
+    s = _session(transitive_abox_kb(None))
+    assert s.check_consistency() == ("consistent", None)
+    assert not any(e[0] == "projection_request" for e in s.log)
+    s = _session(transitive_abox_kb(2))
+    assert s.check_consistency()[0] == "inconsistent"
+    assert [e[-1] for e in s.log if e[0] == "projection_request"] == [1]
+
+
 # -- re-entrant serving --------------------------------------------------------------
 
 def _reentrant_kb():
-    # u1's goal projects to u2, whose serve projects back to u1, whose
-    # serve projects the same package to u2 again while u2 still serves it
+    # u1's root chooses (not A), so it projects (not u2:B) to u2.  u2 maps
+    # u1:A onto and into B too, so u2's root chooses B, which refutes
+    # (not u2:B) and leaves u1:A, and it projects back to u1, whose serve
+    # projects the same package to u2 again while u2 still serves it
     u1 = "(unit u1)\n(concept A)\n(concept C)"
     u2 = "(unit u2)\n(concept B)\n(concept D)"
     c1 = {"unit": "u1", "mappings": [{"source_unit": "u2", "bridge_rules": [
         {"kind": "onto", "source": "u2:B", "target": "u1:A"},
         {"kind": "into", "source": "u2:B", "target": "u1:A"}]}]}
     c2 = {"unit": "u2", "mappings": [{"source_unit": "u1", "bridge_rules": [
+        {"kind": "onto", "source": "u1:A", "target": "u2:B"},
         {"kind": "into", "source": "u1:A", "target": "u2:B"}]}]}
     return load_kb([u1, u2], [c1, c2])
 
@@ -808,7 +851,9 @@ def _run_tasks(make_kb, tasks):
     return results, s.log, closed
 
 
-@pytest.mark.parametrize("make_kb, tasks", [
+# every unit of the figures classified, both transitive ABoxes checked, and
+# the chain's subsumptions
+figure_tasks = pytest.mark.parametrize("make_kb, tasks", [
     (articles_linked_kb, _classify_every_unit),
     (articles_overlap_kb, _classify_every_unit),
     (conference_square_kb, _classify_every_unit),
@@ -819,6 +864,9 @@ def _run_tasks(make_kb, tasks):
     (chain_kb, _chain_subsumptions),
 ], ids=["linked", "overlap", "square", "triangle", "abox-consistent",
         "abox-inconsistent", "chain"])
+
+
+@figure_tasks
 def test_closed_skeleton_changes_no_verdict_metric_or_message(
         make_kb, tasks, monkeypatch):
     results, log, closed = _run_tasks(make_kb, tasks)
@@ -827,6 +875,16 @@ def test_closed_skeleton_changes_no_verdict_metric_or_message(
     assert closed and not bare_closed
     assert results == bare_results
     assert log == bare_log
+
+
+@figure_tasks
+def test_plain_branch_order_gives_the_same_verdicts(make_kb, tasks,
+                                                    monkeypatch):
+    """Another order of the or rule's alternatives, the same verdicts."""
+    verdicts = tasks(_session(make_kb()))
+    monkeypatch.setattr(tableau, "disjunct_order",
+                        lambda g, node, d: tableau.branch_order(d))
+    assert tasks(_session(make_kb())) == verdicts
 
 
 def test_fragment_covered_by_the_closed_skeleton_gets_the_same_answer(

@@ -472,6 +472,29 @@ def test_audit_flags_missing_unfolding():
         "property 12: node 0: u1:A not unfolded into u1:B"]
 
 
+# -- alternative order ------------------------------------------------------------
+
+def test_refuted_disjunct_is_taken_last(monkeypatch):
+    """(not A) refutes A, which branch_order puts first, so the or rule
+    takes B first.  The complete graph is the one that the plain order
+    reaches after a backtrack, with the same dependency sets, for one
+    branch alternative fewer."""
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)")
+
+    def complete():
+        ok, g = _local_sat(kb, "u1", "(and (not A) (or A B))")
+        assert ok
+        return {x: n.label for x, n in g.nodes.items()}, g.branch_count
+
+    labels, taken = complete()
+    monkeypatch.setattr(tableau, "disjunct_order",
+                        lambda g, node, d: tableau.branch_order(d))
+    plain_labels, plain_taken = complete()
+    assert labels[0][Atom("u1", "B")] == 1
+    assert labels == plain_labels
+    assert taken == plain_taken - 1 == 1
+
+
 # -- determinism -----------------------------------------------------------------
 
 def test_dump_deterministic():
@@ -557,7 +580,8 @@ def test_memoized_steps_match_full_rescan_on_figures(make_kb, checked_steps):
 @pytest.mark.parametrize("bad", [None, 2])
 def test_memoized_steps_match_full_rescan_on_transitive_abox(bad,
                                                              checked_steps):
-    verdict, _ = LoopbackSession(transitive_abox_kb(bad)).check_consistency()
+    verdict, _ = LoopbackSession(
+        transitive_abox_kb(bad, hedge=1)).check_consistency()
     assert verdict == ("consistent" if bad is None else "inconsistent")
     assert checked_steps["clashes"] > 0
     assert checked_steps["memoized"] > 0
@@ -909,7 +933,8 @@ def test_trail_restores_copied_state_on_figures(make_kb, checked_trail):
 
 @pytest.mark.parametrize("bad", [None, 2])
 def test_trail_restores_copied_state_on_transitive_abox(bad, checked_trail):
-    verdict, _ = LoopbackSession(transitive_abox_kb(bad)).check_consistency()
+    verdict, _ = LoopbackSession(
+        transitive_abox_kb(bad, hedge=1)).check_consistency()
     assert verdict == ("consistent" if bad is None else "inconsistent")
     assert checked_trail["restores"] > 0
 
