@@ -51,7 +51,8 @@ class InconclusiveError(Exception):
 @dataclass
 class PeerConfig:
     # on: each peer's projection cache lives as long as the session;
-    # off: every task starts with a new one
+    # off: no package's answer is looked up or stored, and each task
+    # starts with no clash entries
     use_cache: bool = True
     # off: the projection hook hands back no answer's literals
     reverse_updates: bool = True
@@ -139,25 +140,27 @@ class Peer:
         """The hook a graph expansion uses to flush its obligations.  It
         packages them per neighbor, consults the cache, ships what is left
         through the router and hands each item's outcome to its obligation,
-        which is the item itself.  After a clash for some node, that
-        node's remaining packages are never sent and their items get no
-        additions: the branch is closing anyway, so their answers could not
-        change it.  With reverse updates off, additions come back empty,
-        after the cache stored them whole.  A budget that runs out in a
-        serve raises through the hook."""
+        which is the item itself.  After the first package that reports a
+        clash, the round's remaining packages are never sent and their
+        items get no additions: the clash puts a Bottom into the graph, and
+        the next step jumps back to a mark taken before the round or closes
+        the graph, so no other answer of the round would stand.  With
+        reverse updates off, additions come back empty, after the cache
+        stored them whole.  A budget that runs out in a serve raises
+        through the hook."""
 
         def hook(obligations: list[Obligation]):
             results = dict.fromkeys(obligations, (ADDITIONS, ()))
-            clashed_nodes: set[int] = set()
+            clashed = False
             for pkg in build_packages(obligations, self.unit, origin,
                                       self._pkg_counter):
-                if any(ob.node in clashed_nodes for ob in pkg.items):
+                if clashed:
                     self.router.notify_skip(self.unit, pkg)
                     continue
                 for ob, (verdict, payload) in zip(pkg.items,
                                                   self._send_package(pkg)):
                     if verdict == CLASH:
-                        clashed_nodes.add(ob.node)
+                        clashed = True
                         if payload != JOINT:
                             self.cache.record_clash(ob.dest_unit, ob.fragment,
                                                     ob.target_individual)

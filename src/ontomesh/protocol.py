@@ -27,20 +27,18 @@ import threading
 from dataclasses import dataclass, replace
 
 from .model import (
-    Atom,
     Bottom,
     Concept,
     DistributedKB,
-    Not,
     Restriction,
     Top,
-    by_key,
     nnf,
 )
 from .tableau import (
     ADDITIONS,
     CLASH,
     JOINT,
+    NO_CORR,
     CompletionGraph,
     Obligation,
     expand_to_completion,
@@ -130,26 +128,20 @@ class ProjectionCache:
                                                      target))
 
     def known_clash(self, graph: CompletionGraph, node_id) -> str | None:
-        """Labels only grow: a node covering a clashed fragment cannot stand."""
+        """Labels only grow: a node covering a clashed fragment cannot stand.
+        An entry's fragment is all foreign, so the label covers it when the
+        foreign part does; an anonymous one needs a member homed at dest."""
         with self._lock:
             if not self._clashes:
                 return None
             node = graph.nodes[node_id]
-            foreign = set()
-            homes = set()
-            for c in node.label:
-                if c.home != graph.unit:
-                    foreign.add(c)
-                    homes.add(c.home)
-            if not foreign:
-                return None
+            label = node.label.keys()
             for dest, entries in self._clashes.items():
-                st = node.corr.get(dest)
-                named = st.target_individual if st is not None else None
-                if dest not in homes and named is None:
-                    continue
+                named = node.corr.get(dest, NO_CORR).target_individual
                 for frag, target in entries:
-                    if target == named and frag <= foreign:
+                    if target == named and frag <= label and (
+                            named is not None
+                            or any(c.home == dest for c in label)):
                         return f"projection to {dest} is known to clash"
         return None
 
@@ -171,21 +163,6 @@ def build_packages(obligations: list[Obligation], frm: str, origin: str,
             id=f"{frm}-{next(id_counter)}", frm=frm, to=dest, origin=origin,
             items=tuple(sorted(by_dest[dest], key=content_key))))
     return out
-
-
-def response_literals(graph: CompletionGraph, node: int,
-                      sent: tuple[Concept, ...]) -> tuple[Concept, ...]:
-    """What flows back to the requester: the foreign literals of the
-    served node's final label that the request did not already carry."""
-    out = []
-    known = set(sent)
-    for c in graph.nodes[node].label:
-        if c.home == graph.unit or c in known:
-            continue
-        if isinstance(c, Atom) or (isinstance(c, Not)
-                                   and isinstance(c.operand, Atom)):
-            out.append(c)
-    return tuple(sorted(out, key=by_key))
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +225,16 @@ def _serve_items(items, requester: str, new_copy, downstream_hook):
         placed.append(node_id)
     if not expand_to_completion(copy, downstream_hook):
         return None
-    # a literal with a non-empty dependency set rests on a choice, which
-    # the requester would take as a fact: keep it back
+    # what flows back: the served node's foreign literals (in an NNF label
+    # a "not" wraps an atom) that the item did not carry and that rest on
+    # no choice, which the requester would take as a fact
     outcomes = []
     for item, node_id in zip(items, placed):
         label = copy.nodes[node_id].label
         outcomes.append((ADDITIONS, tuple(
-            c for c in response_literals(copy, node_id, item.fragment)
-            if not label[c])))
+            c for c in copy.fragment(node_id)
+            if c.op in ("atom", "not") and not label[c]
+            and c not in item.fragment)))
     return tuple(outcomes)
 
 

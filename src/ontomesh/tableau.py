@@ -172,6 +172,9 @@ class CorrState(NamedTuple):
     sent_fragment: tuple[Concept, ...] | None = None
 
 
+NO_CORR = CorrState()  # a node's state toward a unit it has none toward
+
+
 class Node:
     __slots__ = ("id", "label", "kind", "parent", "distinct", "corr", "ver",
                  "cdeps", "clashes", "views")
@@ -458,8 +461,7 @@ class CompletionGraph:
         link propagates across both edge kinds; the filler lands in the
         part of the target label matching its own home unit."""
         out = set()
-        variants = {p} if p.inverted else self.kb.punned_variants(p)
-        for v in variants:
+        for v in self.kb.punned_variants(p):
             out.update(self.successors(x, v))
         return sorted(out)
 
@@ -547,11 +549,8 @@ class CompletionGraph:
         if self.clash_oracle is not None and not b:
             reason = self.clash_oracle(self, x)
             if reason:
-                d = 0
-                for c, dc in label.items():
-                    if c.home != self.unit:
-                        d |= dc
-                return ClashInfo(x, reason, d)
+                return ClashInfo(x, reason,
+                                 _fragment_deps(label, self.fragment(x)))
         for c in label if atmost else ():
             if c.op == "max" and _has_distinct(
                     self, _witnesses(self, x, c), c.n + 1):
@@ -675,8 +674,8 @@ def disjunct_order(g: CompletionGraph, node: Node, d: Concept) -> tuple:
     refuted = (op == "atom" and d.negation() in label
                or op == "not" and d.operand in label)
     home = d.home
-    st = node.corr.get(home)
-    remote = home != g.unit and (st is None or st.requester is None)
+    remote = (home != g.unit
+              and node.corr.get(home, NO_CORR).requester is None)
     return refuted, remote, branch_order(d)
 
 
@@ -1002,15 +1001,12 @@ def collect_obligations(g: CompletionGraph) -> list[Obligation]:
         dests = {c.home for c in fragment if c.home in g.kb.units} | {
             u for u, st in node.corr.items() if st.target_individual is not None}
         for j in sorted(dests):
-            st = node.corr.get(j)
-            named = st is not None and st.target_individual is not None
-            if st is not None and st.requester is not None:
+            st = node.corr.get(j, NO_CORR)
+            if st.requester is not None:
                 continue  # this node mirrors a remote node of unit j already
-            if st is not None and st.sent_fragment == fragment:
+            if st.sent_fragment == fragment:
                 continue
-            out.append(Obligation(
-                x, j, fragment,
-                st.target_individual if named else None))
+            out.append(Obligation(x, j, fragment, st.target_individual))
     return out
 
 
@@ -1043,26 +1039,28 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None) -> bool:
             return True
         package: dict[UnitId, int] = {}
         for ob in obligations:
+            node = g.nodes[ob.node]
             package[ob.dest_unit] = (package.get(ob.dest_unit, 0)
-                                     | _fragment_deps(g, ob)
-                                     | g.nodes[ob.node].cdeps)
+                                     | _fragment_deps(node.label, ob.fragment)
+                                     | node.cdeps)
         for ob, (verdict, payload) in zip(obligations,
                                           projection_hook(obligations)):
             mark_sent(g, ob)
             if verdict == CLASH:
                 g.add_label(ob.node, Bottom(g.unit),
                             g.open_deps() if payload == JOINT
-                            else _fragment_deps(g, ob))
+                            else _fragment_deps(g.nodes[ob.node].label,
+                                                ob.fragment))
                 break
             for c in payload:
                 g.add_label(ob.node, c, package[ob.dest_unit])
 
 
-def _fragment_deps(g: CompletionGraph, ob: Obligation) -> int:
-    """The union of the sets of the obligation's fragment members."""
-    label = g.nodes[ob.node].label
+def _fragment_deps(label: dict[Concept, int],
+                   fragment: tuple[Concept, ...]) -> int:
+    """The union of the label's sets of the fragment's members."""
     out = 0
-    for c in ob.fragment:
+    for c in fragment:
         out |= label[c]
     return out
 

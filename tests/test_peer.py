@@ -716,6 +716,28 @@ def test_joint_clash_answers_every_item_and_records_no_clash(config,
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_a_clash_skips_the_rest_of_the_round(config):
+    # a's package to u2 clashes; c's package to u3 is about another node,
+    # but the Bottom closes the graph, so it is never sent
+    u1 = ("(unit u1)\n(individual a)\n(individual c)\n"
+          "(instance a u2:X)\n(instance c u3:Y)")
+    u2 = "(unit u2)\n(concept X)\n(individual b)\n(instance b (not X))"
+    u3 = "(unit u3)\n(concept Y)\n(individual d)"
+    c1 = {"unit": "u1", "mappings": [
+        {"source_unit": "u2", "individual_correspondences": [
+            {"foreign": "u2:b", "local": "u1:a"}]},
+        {"source_unit": "u3", "individual_correspondences": [
+            {"foreign": "u3:d", "local": "u1:c"}]}]}
+    kb = load_kb([u1, u2, u3], [c1])
+    assert oracle_satisfiable(kb, None, domain_bound=2) is False
+    s = _session(kb, **config)
+    assert s.check_consistency()[0] == "inconsistent"
+    assert [e[2] for e in s.log if e[0] == "projection_request"] == ["u2"]
+    assert [e[:3] + e[4:] for e in s.log if e[0] == "stop"] == [
+        ("stop", "u1", "u3", "skipped")]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 @pytest.mark.parametrize("assertion, verdict", [
     ("(instance b (not X))", "inconsistent"),
     ("(instance b X)", "consistent"),

@@ -75,6 +75,9 @@ def test_known_clash_misses_when_the_named_target_differs():
     assert cache.known_clash(*_u1_root(B, named="b")) is not None
     assert cache.known_clash(*_u1_root(B, named="c")) is None
     assert cache.known_clash(*_u1_root(B)) is None
+    # nor does an anonymous entry condemn a node that names its target
+    cache.record_clash("u2", (D,), None)
+    assert cache.known_clash(*_u1_root(D, named="b")) is None
 
 
 def test_known_clash_skips_a_destination_neither_home_nor_named():
