@@ -281,12 +281,15 @@ class LoopbackSession:
             raise ProtocolError(f"unit {unit} is not available for reasoning")
         return peer
 
-    def _expand(self, peer: Peer, goal: Concept | None = None) -> bool:
+    def _expand(self, peer: Peer, goal: Concept | None = None,
+                models: list | None = None) -> bool:
         """Expand a working copy of the peer's skeleton, goal at the root if
         given, with the projection machinery live; audit a complete goal
         graph when the config asks.  A budget that runs out here or in a
         serve it causes raises InconclusiveError.  True when the graph
-        completes, False when every branch closes."""
+        completes, False when every branch closes.  Given models, a
+        complete graph in which no node is blocked appends its root's
+        label to it."""
         graph = peer.working_copy()
         if goal is not None:
             graph.add_label(0, goal)
@@ -302,6 +305,9 @@ class LoopbackSession:
             if problems:
                 raise AssertionError("tableau property audit failed: "
                                      + "; ".join(problems))
+        if (models is not None and complete
+                and not any(map(graph.blocked, graph.nodes))):
+            models.append(graph.nodes[0].label)
         return complete
 
     # -- tasks -----------------------------------------------------------------
@@ -327,32 +333,54 @@ class LoopbackSession:
             raise ProtocolError(
                 f"distributed KB is inconsistent: {self._consistency[1]}")
 
-    def is_satisfiable(self, goal: Concept, _task: bool = True) -> bool:
+    def is_satisfiable(self, goal: Concept, _task: bool = True,
+                       _models: list | None = None) -> bool:
         self.ensure_consistent()
         if _task:
             self._begin_task()
         goal = drop_holes(nnf(goal), self.holes)
-        return self._expand(self._ready_peer(goal.home), goal)
+        return self._expand(self._ready_peer(goal.home), goal, _models)
 
-    def is_subsumed(self, sub: Atom, sup: Atom, _task: bool = True) -> bool:
+    def is_subsumed(self, sub: Atom, sup: Atom, _task: bool = True,
+                    _models: list | None = None) -> bool:
         if sub.unit != sup.unit:
             raise ProtocolError("subsumption queries stay within one unit")
         goal = And(sub, neg(sup), sub.unit)
-        return not self.is_satisfiable(goal, _task=_task)
+        return not self.is_satisfiable(goal, _task=_task, _models=_models)
 
     def classify(self, unit: UnitId) -> Taxonomy:
-        """Pairwise subsumption over the unit's named concepts, reduced to
-        a hierarchy with equivalence classes collapsed."""
+        """The subsumptions between the unit's named concepts, reduced to
+        a hierarchy with equivalence classes collapsed.
+
+        Each name A first gets its told subsumers (_told_subsumers), which
+        need no test.  Every other name B is tested, in name order, by
+        is_subsumed, unless a model of A's row already settled it: when
+        sat(A and not B) holds and no node of its complete goal graph is
+        blocked, A is below no name C whose atom is missing from the
+        root's label.  The direct test of A and not C can reach that same
+        graph, with not C added at the root and not B taken wherever it
+        satisfied a disjunction: not C is a local literal, so no rule fires
+        on it, no fragment carries it and nothing in the graph clashes with
+        it, and with no node blocked a changed root label cannot unblock
+        one.  So the result is the pairwise loop's."""
         self.ensure_consistent()
         self._begin_task()
-        self._ready_peer(unit)
+        peer = self._ready_peer(unit)
         names = sorted(self.kb.units[unit].concept_names)
-        below: dict[str, set[str]] = {a: set() for a in names}
+        atoms = {a: Atom(unit, a) for a in names}
+        below = _told_subsumers(peer.skeleton.kb.absorbed(unit), atoms)
         for a in names:
+            settled = below[a] | {a}
             for b in names:
-                if a != b and self.is_subsumed(Atom(unit, a), Atom(unit, b),
-                                               _task=False):
+                if b in settled:
+                    continue
+                models: list = []
+                if self.is_subsumed(atoms[a], atoms[b], _task=False,
+                                    _models=models):
                     below[a].add(b)
+                elif models:
+                    settled.update(c for c in names
+                                   if atoms[c] not in models[0])
         return _build_taxonomy(unit, names, below)
 
     def metrics_snapshot(self) -> dict[str, dict]:
@@ -362,6 +390,27 @@ class LoopbackSession:
         counts, so a copy of its attributes is dataclasses.asdict without
         the deep copy, at a twentieth of the cost."""
         return {u: vars(p.metrics).copy() for u, p in self.peers.items()}
+
+
+def _told_subsumers(absorbed: dict[Atom, tuple[Concept, ...]],
+                    atoms: dict[str, Atom]) -> dict[str, set[str]]:
+    """Each name's told subsumers: the names whose atoms its absorbed GCIs
+    reach through their right sides, conjunctions included, and theirs in
+    turn."""
+    names = {atom: a for a, atom in atoms.items()}
+    told: dict[str, set[str]] = {}
+    for a, atom in atoms.items():
+        reached: set[str] = set()
+        todo: list[Concept] = list(absorbed.get(atom, ()))
+        while todo:
+            c = todo.pop()
+            if c.op == "and":
+                todo += (c.left, c.right)
+            elif c in names and names[c] not in reached:
+                reached.add(names[c])
+                todo += absorbed.get(c, ())
+        told[a] = reached - {a}
+    return told
 
 
 def _build_taxonomy(unit: UnitId, names: list[str],
