@@ -85,10 +85,13 @@ class Taxonomy:
 def isolated_check(kb: DistributedKB, unit: UnitId) -> bool:
     """A unit's consistency check on its own, every other unit read as a
     hole.  True when the unit is ready, False when it is a hole; raises
-    InconclusiveError when the check runs out of budget."""
+    InconclusiveError when the check runs out of budget.  Its graph, an ABox
+    skeleton, is closed first (see the tableau module docstring)."""
     isolated = handle_hole(kb, set(kb.unit_order) - {unit})
     try:
-        return expand_to_completion(init_graph(isolated, unit))
+        graph = init_graph(isolated, unit)
+        close_deterministic(graph)
+        return expand_to_completion(graph)
     except BudgetExceeded as e:
         raise InconclusiveError(
             f"peer {unit} failed to initialize: {e}") from e
@@ -191,7 +194,7 @@ class Peer:
         copies of a request this peer is already serving, and must not be
         cached.  Raises InconclusiveError at SERVE_DEPTH_LIMIT open serves,
         and BudgetExceeded when the serve's copy runs out."""
-        key = (pkg.frm, pkg.content_bytes())
+        key = (pkg.frm, pkg.content_bytes)
         with self._lock:
             if len(self._serving) >= SERVE_DEPTH_LIMIT:
                 raise InconclusiveError(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .model import (
     Bottom,
@@ -78,8 +79,10 @@ class ProjectionPackage:
     origin: str
     items: tuple[Obligation, ...]
 
+    @cached_property
     def content_bytes(self) -> bytes:
-        """Cache and dedup key: the item payload without provenance."""
+        """Cache and dedup key: the item payload without provenance,
+        computed once per package."""
         return ";".join(sorted(map(content_key, self.items))).encode()
 
     def to_payload(self):
@@ -108,12 +111,12 @@ class ProjectionCache:
         self._lock = threading.Lock()
 
     def lookup(self, pkg: ProjectionPackage):
-        key = (pkg.to, pkg.content_bytes())
+        key = (pkg.to, pkg.content_bytes)
         with self._lock:
             return self._store.get(key)
 
     def store(self, pkg: ProjectionPackage, outcomes: tuple):
-        key = (pkg.to, pkg.content_bytes())
+        key = (pkg.to, pkg.content_bytes)
         with self._lock:
             if key in self._store:
                 return

@@ -95,7 +95,11 @@ A node also counts its clash pairs (Bottoms, and negations whose operand
 is a member) as members arrive, with one lookup each, and the trail undoes
 the count, so the clash check scans a label only when its count is not
 zero.  Each rule reads only its own constructors' members, in key order,
-from views grouped once per version and shared by clones.
+from views shared by clones and regrouped only when the label version
+moves: a fresh clock value that each addition sets and the trail puts back,
+so it names one label.  The graph caches successor and value-restriction
+target lists as tuples, cleared at every edge-set change and every restore;
+a clone starts with none.
 
 A skeleton is closed once (close_deterministic): the ce rule and the local
 phase run at every node until nothing changes, with no clash check,
@@ -106,7 +110,8 @@ branch action; and a clash found before the first branch point has an empty
 set, so it means UNSAT either way.  One difference remains: a projected
 node whose fragment an earlier node's closed label covers is blocked from
 the start, so it never receives the internalization, an And, Or or Top of
-the unit and never a response literal.
+the unit and never a response literal.  An isolated check closes its graph
+too: it is an ABox skeleton without projected nodes.
 """
 
 from __future__ import annotations
@@ -177,7 +182,7 @@ NO_CORR = CorrState()  # a node's state toward a unit it has none toward
 
 class Node:
     __slots__ = ("id", "label", "kind", "parent", "distinct", "corr", "ver",
-                 "cdeps", "clashes", "views")
+                 "lver", "cdeps", "clashes", "views")
 
     def __init__(self, id: NodeId, kind: str, parent: NodeId | None = None):
         self.id = id
@@ -190,10 +195,11 @@ class Node:
         self.distinct: set[NodeId] = set()
         self.corr: dict[UnitId, CorrState] = {}
         self.ver = 0
+        self.lver = 0  # the label's version: a clock value, 0 while empty
         self.cdeps = 0  # the dependency set of the node's creation
         self.clashes = 0  # Bottoms, and negations whose operand is a member
-        # (version, the label grouped by op, each group in key order)
-        self.views: tuple[int, dict[str, list[Concept]]] = (-1, {})
+        # (label version, the label grouped by op, each group in key order)
+        self.views: tuple[int, dict[str, list[Concept]]] = (0, {})
 
     def clone(self) -> "Node":
         n = Node(self.id, self.kind, self.parent)
@@ -201,19 +207,21 @@ class Node:
         n.distinct = set(self.distinct)
         n.corr = dict(self.corr)
         n.ver = self.ver
+        n.lver = self.lver
         n.cdeps = self.cdeps
         n.clashes = self.clashes
         n.views = self.views
         return n
 
     def members(self, op: str) -> Sequence[Concept]:
-        """The label's members of one op, in key order."""
-        ver, views = self.views
-        if ver != self.ver:
+        """The label's members of one op, in key order, regrouped only when
+        the label version moved: a neighbour's change leaves them be."""
+        lver, views = self.views
+        if lver != self.lver:
             views = {}
             for c in sorted(self.label, key=by_key):
                 views.setdefault(c.op, []).append(c)
-            self.views = self.ver, views
+            self.views = self.lver, views
         return views.get(op, ())
 
 
@@ -242,6 +250,11 @@ class BranchPoint:
 
 def _set_ver(node: Node, ver: int) -> None:
     node.ver = ver
+
+
+def _unlabel(node: Node, item: tuple) -> None:
+    del node.label[item[0]]
+    node.lver = item[1]
 
 
 def _set_attr(obj, pair: tuple) -> None:
@@ -275,6 +288,9 @@ class CompletionGraph:
         # per _find_action phase after the ce rule, the keys at which its
         # rules found nothing: (node, ver, blocked kind)
         self._rule_memo = (set(), set(), set())
+        # successors and forall_targets by (x, p) and (x, p, "all"), read
+        # only from edge sets: cleared when one changes and at every restore
+        self._succ: dict[tuple, tuple[NodeId, ...]] = {}
 
     # -- construction and mutation -------------------------------------------
 
@@ -302,13 +318,14 @@ class CompletionGraph:
         if c in label:
             return False
         label[c] = deps
-        self._trail.append((dict.__delitem__, label, c))
+        self._trail.append((_unlabel, n, (c, n.lver)))
         op = c.op
         if (op == "bot" or op == "not" and c.operand in label
                 or op == "atom" and c.negation() in label):
             self._trail.append((_set_attr, n, ("clashes", n.clashes)))
             n.clashes += 1
         self._bump_around(node)
+        n.lver = n.ver  # a fresh clock value
         return True
 
     def add_edge(self, a: NodeId, b: NodeId, prop: Property) -> bool:
@@ -324,6 +341,7 @@ class CompletionGraph:
             return False
         labels.add(prop)
         trail.append((set.discard, labels, prop))
+        self._succ.clear()
         inc = self.in_e[b]
         labels = inc.get(a)
         if labels is None:
@@ -376,6 +394,7 @@ class CompletionGraph:
         """Remove key from one of the graph's dicts, if there."""
         if key in d:
             self._trail.append((_put, d, (key, d.pop(key))))
+            self._succ.clear()
 
     def _discard(self, s: set, item) -> None:
         if item in s:
@@ -407,6 +426,7 @@ class CompletionGraph:
     def restore(self, mark: int) -> None:
         """Undo every change made since snapshot() returned mark."""
         trail = self._trail
+        self._succ.clear()
         while len(trail) > mark:
             fn, a, b = trail.pop()
             if fn is None:
@@ -441,9 +461,12 @@ class CompletionGraph:
 
     # -- successor machinery ------------------------------------------------------
 
-    def successors(self, x: NodeId, p: Property) -> list[NodeId]:
+    def successors(self, x: NodeId, p: Property) -> tuple[NodeId, ...]:
         """Nodes reachable from x over p: p-successors for links, and
         p-neighbors (inverse traversal included) for roles."""
+        found = self._succ.get((x, p))
+        if found is not None:
+            return found
         out = set()
         for y, labels in self.out_e[x].items():
             for q in labels:
@@ -454,16 +477,19 @@ class CompletionGraph:
                 for q in labels:
                     if q.is_role and p in self.kb.subsumers(q.inverse()):
                         out.add(y)
-        return sorted(out)
+        return self._succ.setdefault((x, p), tuple(sorted(out)))
 
-    def forall_targets(self, x: NodeId, p: Property) -> list[NodeId]:
+    def forall_targets(self, x: NodeId, p: Property) -> tuple[NodeId, ...]:
         """Targets of a value restriction on p.  A name punned as role and
         link propagates across both edge kinds; the filler lands in the
         part of the target label matching its own home unit."""
+        found = self._succ.get((x, p, "all"))
+        if found is not None:
+            return found
         out = set()
         for v in self.kb.punned_variants(p):
             out.update(self.successors(x, v))
-        return sorted(out)
+        return self._succ.setdefault((x, p, "all"), tuple(sorted(out)))
 
     # -- blocking ------------------------------------------------------------------
 
@@ -875,20 +901,27 @@ def _find_action(g: CompletionGraph, keyed: list):
 
 def close_deterministic(g: CompletionGraph) -> None:
     """Apply the ce rule and then the local phase until nothing changes,
-    with no clash check, generation or branching, and drop the trail.  The
-    local phase's memo keeps the keys where it found nothing, so a clone
+    with no clash check, generation or branching, and drop the trail.  A
+    worklist: each walk in id order runs the local phase at a node until
+    its (node, ver, "") key is in the phase's memo, and the walks repeat
+    until one applies nothing.  The memo keeps those keys, so a clone
     starts past them.  Meant for a skeleton, whose nodes never block: see
     the module docstring for why its copies then fire the same rules."""
     ck = g.kb.internalization(g.unit)
     for x in sorted(g.nodes):
         g.add_label(x, ck)
     local = g._rule_memo[0]
-    while True:
-        keyed = [(x, "", (x, n.ver, "")) for x, n in sorted(g.nodes.items())]
-        action = _scan(g, keyed, local, _local_phase)
-        if action is None:
-            break
-        _apply_action(g, action)
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(g.nodes):
+            while (key := (x, g.nodes[x].ver, "")) not in local:
+                action = _local_phase(g, x, "")
+                if action is None:
+                    local.add(key)
+                else:
+                    _apply_action(g, action)
+                    changed = True
     g._trail.clear()
 
 

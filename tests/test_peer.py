@@ -215,6 +215,30 @@ def test_hole_releases_constraint():
     assert oracle_satisfiable(sub_kb, goal, domain_bound=2) is True
 
 
+@pytest.mark.parametrize("u1,holes", [
+    ("(concept C)\n(concept D)\n(sub C (not D))\n(instance a (and C D))",
+     {"u1"}),
+    ("(concept C)\n(concept D)\n(instance a (or C D))\n"
+     "(instance a (not C))\n(instance a (not D))", {"u1"}),
+    ("(concept C)\n(role r)\n(individual b)\n(related a r b)\n"
+     "(instance a (all r (not C)))\n(instance b (or C u2:X))", set()),
+    ("(concept C)\n(role r)\n(instance a (some r C))\n"
+     "(instance a (all r (not C)))", {"u1"}),
+], ids=["deterministic", "branching", "consistent", "generated"])
+def test_closed_isolated_check_keeps_the_holes_and_the_log(u1, holes,
+                                                          monkeypatch):
+    """isolated_check closes its graph before expanding it; the hole set
+    and the log are those of the bare graph."""
+    kb = load_kb([f"(unit u1)\n(individual a)\n{u1}",
+                  "(unit u2)\n(concept X)"])
+    s = _session(kb)
+    assert s.initialize() == holes
+    monkeypatch.setattr(peer, "close_deterministic", lambda g: None)
+    bare = _session(kb)
+    assert bare.initialize() == holes
+    assert bare.log == s.log
+
+
 def test_goal_in_holed_unit_rejected():
     kb = load_kb(["""
 (unit u1)

@@ -93,7 +93,7 @@ def test_store_raises_cache_overflow_past_the_byte_budget(monkeypatch):
     pkg = ProjectionPackage(id="u1-1", frm="u1", to="u2", origin="u1",
                             items=(Obligation(0, "u2", (B,), None),))
     answer = (("additions", ()),)
-    size = len(pkg.content_bytes()) + 64
+    size = len(pkg.content_bytes) + 64
     monkeypatch.setattr(ontomesh.protocol, "BYTE_BUDGET", size)
     to_u3 = replace(pkg, to="u3")
     cache = ProjectionCache()

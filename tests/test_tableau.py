@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from ontomesh.model import (
 )
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import LoopbackSession, PeerConfig
+from ontomesh.protocol import handle_hole
 from ontomesh.tableau import (
     BudgetExceeded, audit_complete_graph,
     collect_obligations, expand_local, expand_to_completion, init_graph,
@@ -17,7 +21,7 @@ from ontomesh.tableau import (
 )
 
 from figures import (
-    articles_linked_kb, articles_overlap_kb, conference_square_kb,
+    articles_linked_kb, articles_overlap_kb, chain_kb, conference_square_kb,
     conference_triangle_kb, transitive_abox_kb,
 )
 from strategies import concepts
@@ -534,28 +538,40 @@ def test_single_unit_agrees_with_oracle(text, expected):
 
 # -- incremental expansion -------------------------------------------------------
 
+def _drop_caches(g):
+    """Forget every node's views and the graph's successor lists, so that
+    the next read computes them afresh."""
+    for n in g.nodes.values():
+        n.views = (-1, {})
+    g._succ.clear()
+
+
 @pytest.fixture
 def checked_steps(monkeypatch):
     """Compare every memoized clash and action of expand_local with a full
     rescan of the same graph (first_clash, and _find_action with its rule
-    memo emptied).  Counts the steps it checked."""
+    memo emptied), made after the memoized one with every view and
+    successor list dropped, so that a stale cache shows as a difference.
+    Counts the steps it checked."""
     steps = Counter()
     find_action, sweep = tableau._find_action, tableau._sweep
 
     def checked_find_action(g, keyed):
         memo = g._rule_memo
-        g._rule_memo = tuple(set() for _ in memo)
-        expected = find_action(g, keyed)
-        g._rule_memo = memo
         steps["actions"] += 1
         steps["memoized"] += any(memo)
         action = find_action(g, keyed)
+        g._rule_memo = tuple(set() for _ in memo)
+        _drop_caches(g)
+        expected = find_action(g, keyed)
+        g._rule_memo = memo
         assert action == expected
         return action
 
     def checked_sweep(g, clash_memo):
         steps["memoized"] += bool(clash_memo)
         clash, keyed = sweep(g, clash_memo)
+        _drop_caches(g)
         assert clash == g.first_clash()
         steps["clashes"] += clash is not None
         return clash, keyed
@@ -754,6 +770,68 @@ def test_clone_of_a_closed_skeleton_skips_its_local_phase(monkeypatch):
     assert one_step(copy) == set(skeleton.nodes)
 
 
+def _closed_step_by_step(g):
+    """The closure as a plain loop: the ce rule at every node, then, per
+    action, the local phase's first action over every node in id order."""
+    ck = g.kb.internalization(g.unit)
+    for x in sorted(g.nodes):
+        g.add_label(x, ck)
+    memo = set()
+    while True:
+        keyed = [(x, "", (x, n.ver, "")) for x, n in sorted(g.nodes.items())]
+        action = tableau._scan(g, keyed, memo, tableau._local_phase)
+        if action is None:
+            return
+        tableau._apply_action(g, action)
+
+
+def _perfbench_abox_kbs(monkeypatch):
+    """The abox-consistency workload's KBs at its default seed, built by
+    perfbench/workloads.py, which is imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    workload = workloads.GENERATORS["abox-consistency"](workloads.DEFAULT_SEED)
+    return [load_kb(list(kb.units), list(kb.couplings))
+            for kb in workload.kbs]
+
+
+_CLOSURE_KBS = {
+    "abox-consistent": lambda mp: [transitive_abox_kb(None)],
+    "abox-inconsistent": lambda mp: [transitive_abox_kb(2)],
+    "abox-hedged": lambda mp: [transitive_abox_kb(None, hedge=1),
+                               transitive_abox_kb(2, hedge=1)],
+    "figures": lambda mp: [articles_linked_kb(), articles_overlap_kb(),
+                           conference_square_kb(), conference_triangle_kb(),
+                           chain_kb()],
+    "perfbench-abox": _perfbench_abox_kbs,
+}
+
+
+@pytest.mark.parametrize("name", _CLOSURE_KBS)
+def test_worklist_closure_equals_the_step_by_step_loop(name, monkeypatch):
+    """On every unit's skeleton, and on the graph of its isolated check,
+    close_deterministic gives each node the label (member and dependency
+    set) that the plain loop gives, and leaves every node's final key in
+    the local memo."""
+    closed = 0
+    for kb in _CLOSURE_KBS[name](monkeypatch):
+        for unit in kb.unit_order:
+            isolated = handle_hole(kb, set(kb.unit_order) - {unit})
+            for view in (kb, isolated):
+                g, ref = init_graph(view, unit), init_graph(view, unit)
+                tableau.close_deterministic(g)
+                _closed_step_by_step(ref)
+                assert {x: n.label for x, n in g.nodes.items()} == {
+                    x: n.label for x, n in ref.nodes.items()}
+                assert all((x, n.ver, "") in g._rule_memo[0]
+                           for x, n in g.nodes.items())
+                closed += any(len(n.label) > 1 for n in g.nodes.values())
+    assert closed
+
+
 # -- clash counts and kind views ---------------------------------------------
 
 def _assert_derived_state(g):
@@ -861,7 +939,7 @@ def _assert_state(g, state):
             now = n.corr[u]
             assert (now.target_individual, now.requester, now.sent_fragment) \
                 == (st.target_individual, st.requester, st.sent_fragment)
-        assert n.ver == old.ver
+        assert n.ver == old.ver and n.lver == old.lver
         assert n.cdeps == old.cdeps
         assert n.clashes == old.clashes
     assert g.out_e == out_e and g.in_e == in_e
@@ -963,6 +1041,44 @@ def test_trail_undoes_a_merge(checked_trail):
     assert not ok
     assert checked_trail["merges_undone"] > 0
     assert checked_trail["tagged"] > 0
+
+
+def _cached_reads(g, props):
+    """Per node: its views of every op, and its successor lists and value
+    restriction targets over props, as members, successors and
+    forall_targets give them."""
+    return {x: ([list(n.members(op)) for op in CONSTRUCTORS],
+                [(g.successors(x, p), g.forall_targets(x, p))
+                 for p in props])
+            for x, n in g.nodes.items()}
+
+
+def test_views_and_successor_lists_are_fresh_after_a_merge_and_a_restore(
+        monkeypatch):
+    """Every cached read is made before each merge and restore, and after
+    it each equals a computation with the caches dropped."""
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(role r)")
+    r = Property("r", "u1", "u1")
+    props = (r, r.inverse())
+    seen = Counter()
+
+    def checked(name, fn):
+        def wrapper(g, *args):
+            _cached_reads(g, props)
+            fn(g, *args)
+            reads = _cached_reads(g, props)
+            _drop_caches(g)
+            assert reads == _cached_reads(g, props)
+            seen[name] += 1
+        return wrapper
+
+    monkeypatch.setattr(tableau, "_merge", checked("merge", tableau._merge))
+    monkeypatch.setattr(tableau.CompletionGraph, "restore", checked(
+        "restore", tableau.CompletionGraph.restore))
+    ok, _ = _local_sat(kb, "u1",
+                       "(and (some r A) (some r (not A)) (max 1 r top))")
+    assert not ok
+    assert seen["merge"] > 0 and seen["restore"] > 0
 
 
 def test_clone_with_open_branch_points_raises():
