@@ -503,6 +503,10 @@ def load_kb(unit_texts: list[str],
     problems: list[str] = []
     units: dict[str, UnitKB] = {}
     for text in unit_texts:
+        if not isinstance(text, str):
+            problems.append("a unit document must be a string, got "
+                            f"{type(text).__name__}")
+            continue
         try:
             ukb = parse_unit(text)
         except ParseError as exc:

@@ -152,7 +152,9 @@ class Concept(_Interned):
     have none.
     """
 
-    __slots__ = ()
+    # _order caches the tableau's branch_order of the concept, made on
+    # first use, as an atom keeps its negation
+    __slots__ = ("_order",)
     op: str
 
     def children(self) -> tuple["Concept", ...]:

@@ -223,8 +223,7 @@ def _serve_items(items, requester: str, new_copy, downstream_hook):
                     f"projection names unknown individual "
                     f"{item.target_individual!r} of {copy.unit}")
         copy.set_corr(node_id, requester, requester=(requester, item.node))
-        for c in item.fragment:
-            copy.add_label(node_id, c)
+        copy.add_labels(node_id, item.fragment)
         placed.append(node_id)
     if not expand_to_completion(copy, downstream_hook):
         return None

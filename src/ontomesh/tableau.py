@@ -73,13 +73,13 @@ through projection, so a branch expands entirely locally before any
 message leaves.
 
 Undo runs on a trail, after MiniSat (Een & Sorensson 2003).  Every change
-to the graph (a node, a label member with its dependency set, a clash
-count, an edge, a distinct pair, a correspondence state, a creation set, a
-version, each step of a merge) appends one undo record holding the old
-value.  A branch point keeps the trail length as its mark; jumping back to
-it pops records and undoes them in reverse order until the trail is that
-long again, which also undoes every branch point above it.  Nothing is
-copied: a jump costs the work done since the mark.
+to the graph (a node, the label members that one call adds with their
+dependency sets, an edge, a distinct pair, a correspondence state, a
+creation set, a version, each step of a merge) appends one undo record
+holding the old value.  A branch point keeps the trail length as its mark;
+jumping back to it pops records and undoes them in reverse order until the
+trail is that long again, which also undoes every branch point above it.
+Nothing is copied: a jump costs the work done since the mark.
 
 Expansion is incremental.  Every node carries a version drawn from a
 per-graph counter that never goes back (clones share it); any change that a
@@ -91,15 +91,24 @@ reads.  The engine remembers the (node, version, blocked kind) keys at
 which a rule phase or the clash check found nothing and skips them, which
 keeps the firing order of a full rescan.  A clone starts with its source's
 rule memos: clones share the clock, so a key names the same state in both.
-A node also counts its clash pairs (Bottoms, and negations whose operand
-is a member) as members arrive, with one lookup each, and the trail undoes
-the count, so the clash check scans a label only when its count is not
-zero.  Each rule reads only its own constructors' members, in key order,
-from views shared by clones and regrouped only when the label version
-moves: a fresh clock value that each addition sets and the trail puts back,
-so it names one label.  The graph caches successor and value-restriction
-target lists as tuples, cleared at every edge-set change and every restore;
-a clone starts with none.
+What the rules and the clash check read of a label is kept current as
+members arrive (add_labels), not rebuilt when it is read: the count of
+clash pairs (Bottoms, and negations whose operand is a member), with one
+lookup per member; the count of foreign members; and the views, the
+members of each constructor in key order, into which each new member is
+inserted.  So the clash check scans a label only when its clash count is
+not zero and asks the clash oracle only when its foreign count is not
+zero, and each rule reads only its own constructors' members.  The label
+version is a fresh clock value that each addition sets, so it names one
+label; views name the version they are current for, and members()
+regroups them only when they are not current.  Clones share views, since
+an insertion copies the groups it changes.  The members one action adds
+take one undo record, which puts back the label version, views and counts
+from before them, and one version bump.  The and rule adds the whole
+conjunction tree below an And in one action, and branch_order is computed
+once per interned concept.  The graph caches successor and
+value-restriction target lists as tuples, cleared at every edge-set change
+and every restore; a clone starts with none.
 
 A skeleton is closed once (close_deterministic): the ce rule and the local
 phase run at every node until nothing changes, with no clash check,
@@ -117,6 +126,7 @@ too: it is an ABox skeleton without projected nodes.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -182,7 +192,7 @@ NO_CORR = CorrState()  # a node's state toward a unit it has none toward
 
 class Node:
     __slots__ = ("id", "label", "kind", "parent", "distinct", "corr", "ver",
-                 "lver", "cdeps", "clashes", "views")
+                 "lver", "cdeps", "clashes", "foreign", "views")
 
     def __init__(self, id: NodeId, kind: str, parent: NodeId | None = None):
         self.id = id
@@ -198,7 +208,11 @@ class Node:
         self.lver = 0  # the label's version: a clock value, 0 while empty
         self.cdeps = 0  # the dependency set of the node's creation
         self.clashes = 0  # Bottoms, and negations whose operand is a member
-        # (label version, the label grouped by op, each group in key order)
+        self.foreign = 0  # members whose home is another unit
+        # (label version, the label grouped by op, each group in key
+        # order), current while its version is lver.  add_labels inserts
+        # into copies of the groups it changes, so a clone and an undo
+        # record share the views they hold and never see them change
         self.views: tuple[int, dict[str, list[Concept]]] = (0, {})
 
     def clone(self) -> "Node":
@@ -210,12 +224,15 @@ class Node:
         n.lver = self.lver
         n.cdeps = self.cdeps
         n.clashes = self.clashes
+        n.foreign = self.foreign
         n.views = self.views
         return n
 
     def members(self, op: str) -> Sequence[Concept]:
-        """The label's members of one op, in key order, regrouped only when
-        the label version moved: a neighbour's change leaves them be."""
+        """The label's members of one op, in key order.  add_labels keeps
+        current views current, so they are regrouped here only when they
+        were not current at an addition: a neighbour's change leaves
+        them be."""
         lver, views = self.views
         if lver != self.lver:
             views = {}
@@ -253,8 +270,12 @@ def _set_ver(node: Node, ver: int) -> None:
 
 
 def _unlabel(node: Node, item: tuple) -> None:
-    del node.label[item[0]]
-    node.lver = item[1]
+    """Undo one add_labels: drop its members and put back the label
+    version, views and counts from before it."""
+    members, node.lver, node.views, node.clashes, node.foreign = item
+    label = node.label
+    for c in members:
+        del label[c]
 
 
 def _set_attr(obj, pair: tuple) -> None:
@@ -278,9 +299,10 @@ class CompletionGraph:
         self.next_id = 0
         self.branch_stack: list[BranchPoint] = []
         self.branch_count = 0
-        # optional early-clash callback: (graph, node) -> reason or None.
-        # Used by the peer layer to fail branches whose projection is
-        # already known to clash, before completing them.
+        # optional early-clash callback: (graph, node) -> reason or None,
+        # asked only at an unblocked node with a foreign member.  Used by
+        # the peer layer to fail branches whose projection is already
+        # known to clash, before completing them.
         self.clash_oracle = None
         self._trail: list[tuple] = []
         # node versions; see the module docstring
@@ -310,22 +332,54 @@ class CompletionGraph:
         return node
 
     def add_label(self, node: NodeId, c: Concept, deps: int = 0) -> bool:
-        """Add c to the node's label, depending on the branch points in
-        deps; a member already there keeps its own set.  One lookup counts
-        the clash pair that c makes, if any."""
+        """add_labels of the one member c."""
+        return self.add_labels(node, (c,), deps)
+
+    def add_labels(self, node: NodeId, concepts, deps: int = 0) -> bool:
+        """Add to the node's label each of concepts that it lacks, in
+        order, depending on the branch points in deps; a member already
+        there keeps its own set.  One lookup per member counts the clash
+        pair it makes, if any, and one comparison its foreign home.  One
+        undo record and one version bump cover every member added, and
+        views that were current take the members in, so they stay
+        current.  True if any member was added."""
         n = self.nodes[node]
         label = n.label
-        if c in label:
+        unit = self.unit
+        clashes, foreign = n.clashes, n.foreign
+        added = []
+        for c in concepts:
+            if c in label:
+                continue
+            label[c] = deps
+            added.append(c)
+            op = c.op
+            if (op == "bot" or op == "not" and c.operand in label
+                    or op == "atom" and c.negation() in label):
+                clashes += 1
+            if c.home != unit:
+                foreign += 1
+        if not added:
             return False
-        label[c] = deps
-        self._trail.append((_unlabel, n, (c, n.lver)))
-        op = c.op
-        if (op == "bot" or op == "not" and c.operand in label
-                or op == "atom" and c.negation() in label):
-            self._trail.append((_set_attr, n, ("clashes", n.clashes)))
-            n.clashes += 1
+        lver, old = n.lver, n.views
+        self._trail.append((_unlabel, n, (added, lver, old, n.clashes,
+                                          n.foreign)))
+        n.clashes, n.foreign = clashes, foreign
         self._bump_around(node)
         n.lver = n.ver  # a fresh clock value
+        if old[0] == lver:
+            shared = old[1]
+            views = shared.copy()
+            for c in added:
+                op = c.op
+                group = views.get(op)
+                if group is None:
+                    views[op] = [c]
+                    continue
+                if group is shared.get(op):  # not yet copied
+                    group = views[op] = group.copy()
+                insort(group, c, key=by_key)
+            n.views = n.lver, views
         return True
 
     def add_edge(self, a: NodeId, b: NodeId, prop: Property) -> bool:
@@ -456,8 +510,11 @@ class CompletionGraph:
 
     def fragment(self, node: NodeId) -> tuple[Concept, ...]:
         """The foreign members of the node's label, in key order."""
-        return tuple(sorted((c for c in self.nodes[node].label
-                             if c.home != self.unit), key=by_key))
+        n = self.nodes[node]
+        if not n.foreign:
+            return ()
+        return tuple(sorted((c for c in n.label if c.home != self.unit),
+                            key=by_key))
 
     # -- successor machinery ------------------------------------------------------
 
@@ -539,24 +596,31 @@ class CompletionGraph:
     def detect_clash(self, x: NodeId, b: str) -> ClashInfo | None:
         """A clash at x, whose blocked kind is b, if any.  The label is
         scanned for a Bottom or complement pair only when its count says
-        one is there, and for an at-most clash only when it holds one."""
+        one is there, and for an at-most clash only when it holds one.
+        The clash oracle is asked only when the label holds a foreign
+        member: the peer's oracle matches clash entries, each of whose
+        fragments is non-empty and all foreign."""
         node = self.nodes[x]
-        return self._clash(node, b, node.clashes, node.members("max"))
+        return self._clash(node, b, node.clashes, node.foreign,
+                           node.members("max"))
 
     def first_clash(self) -> ClashInfo | None:
         """The first clash in node order, by full scans that read neither
-        the clash counts nor the views: the reference for detect_clash."""
+        the counts nor the views: the reference for detect_clash."""
         for x in sorted(self.nodes):
-            info = self._clash(self.nodes[x], self.blocked(x), True, True)
+            info = self._clash(self.nodes[x], self.blocked(x), True, True,
+                               True)
             if info:
                 return info
         return None
 
-    def _clash(self, node: Node, b: str, pairs, atmost) -> ClashInfo | None:
+    def _clash(self, node: Node, b: str, pairs, foreign,
+               atmost) -> ClashInfo | None:
         """Of several Bottom and complement clashes the one with the
         smallest set is taken, which jumps furthest; ties go to the earliest
         member in insertion order, which is the same in every process (a
-        set's hash order is not).  pairs and atmost say which scans run."""
+        set's hash order is not).  pairs, foreign and atmost say which
+        scans run and whether the clash oracle is asked."""
         x, label = node.id, node.label
         found = None
         for c, d in label.items() if pairs else ():
@@ -572,7 +636,7 @@ class CompletionGraph:
                     break
         if found is not None:
             return found
-        if self.clash_oracle is not None and not b:
+        if foreign and self.clash_oracle is not None and not b:
             reason = self.clash_oracle(self, x)
             if reason:
                 return ClashInfo(x, reason,
@@ -631,12 +695,18 @@ def init_graph(kb: DistributedKB, unit: UnitId,
     by_name = g.individuals
     for ind in sorted(ukb.individual_names):
         by_name[ind] = g.new_node("abox").id
+    told: dict[NodeId, list[Concept]] = {}
     for ind, c in ukb.concept_assertions:
-        g.add_label(by_name[ind], nnf(c))
+        told.setdefault(by_name[ind], []).append(nnf(c))
+    for x, concepts in told.items():
+        g.add_labels(x, concepts)
     for a, p, b in ukb.role_assertions:
         g.add_edge(by_name[a], by_name[b], p)
     for a, b in ukb.inequalities:
-        g.set_distinct(by_name[a], by_name[b])
+        if a == b:  # (different a a): a local contradiction
+            g.add_label(by_name[a], Bottom(unit))
+        else:
+            g.set_distinct(by_name[a], by_name[b])
     coup = kb.couplings[unit]
     for ic in sorted(coup.individual_correspondences,
                      key=lambda c: (c.local_name, c.foreign_unit, c.foreign_name)):
@@ -658,19 +728,35 @@ def init_graph(kb: DistributedKB, unit: UnitId,
 # ---------------------------------------------------------------------------
 
 def _and_rule(g: CompletionGraph, x: NodeId):
+    """The first And in key order that lacks an operand adds, in one
+    action, every missing member of the conjunction tree below it, on its
+    set.  An And that is already a member is not descended into: it is a
+    tree of its own, on its own set."""
     node = g.nodes[x]
     label = node.label
     for c in node.members("and"):
         if c.left not in label or c.right not in label:
-            return ("add", x, [c.left, c.right], label[c])
+            missing = {}
+            todo = [c]
+            for a in todo:
+                for d in (a.left, a.right):
+                    if d not in label and d not in missing:
+                        missing[d] = None
+                        if d.op == "and":
+                            todo.append(d)
+            return ("add", x, list(missing), label[c])
     return None
 
 
 def _unfold_rule(g: CompletionGraph, x: NodeId):
-    """Lazy unfolding of the GCIs absorbed into the label's atoms."""
-    label = g.nodes[x].label
-    for a, rhs in g.kb.absorbed(g.unit).items():
-        if a in label:
+    """Lazy unfolding of the GCIs absorbed into the label's atoms, read
+    from the label's atom view in key order, the order of absorbed."""
+    node = g.nodes[x]
+    label = node.label
+    absorbed = g.kb.absorbed(g.unit)
+    for a in node.members("atom"):
+        rhs = absorbed.get(a)
+        if rhs:
             missing = [c for c in rhs if c not in label]
             if missing:
                 return ("add", x, missing, label[a])
@@ -684,8 +770,14 @@ def branch_order(d: Concept) -> tuple:
     The choose rule orders its fillers by it alone.  The or rule puts two
     costs before it (disjunct_order): a refuted disjunct goes last, which
     keeps every dependency set (module docstring), and one that needs a
-    projection goes after those that need none."""
-    return (len(subconcepts(d)), d.key())
+    projection goes after those that need none.  Computed once per
+    interned concept and kept on it."""
+    try:
+        return d._order
+    except AttributeError:
+        order = (len(subconcepts(d)), d.key())
+        object.__setattr__(d, "_order", order)
+        return order
 
 
 def disjunct_order(g: CompletionGraph, node: Node, d: Concept) -> tuple:
@@ -802,8 +894,7 @@ def _merge(g: CompletionGraph, keep: NodeId, gone: NodeId):
     keep and of gone's neighbours, depend on every open branch point."""
     deps = g.open_deps()
     gnode = g.nodes[gone]
-    for c in list(gnode.label):
-        g.add_label(keep, c, deps)
+    g.add_labels(keep, gnode.label, deps)
     for y in {keep, *g.out_e[gone], *g.in_e[gone]} - {gone}:
         n = g.nodes[y]
         g._trail.append((_set_attr, n, ("cdeps", n.cdeps)))
@@ -931,8 +1022,7 @@ def _apply_action(g: CompletionGraph, action, bit: int = 0) -> None:
     kind = action[0]
     if kind == "add":
         _, x, concepts, deps = action
-        for c in concepts:
-            g.add_label(x, c, deps | bit)
+        g.add_labels(x, concepts, deps | bit)
     elif kind == "generate":
         _, x, prop, fillers, distinct, deps = action
         created = []
@@ -1085,8 +1175,7 @@ def expand_to_completion(g: CompletionGraph, projection_hook=None) -> bool:
                             else _fragment_deps(g.nodes[ob.node].label,
                                                 ob.fragment))
                 break
-            for c in payload:
-                g.add_label(ob.node, c, package[ob.dest_unit])
+            g.add_labels(ob.node, payload, package[ob.dest_unit])
 
 
 def _fragment_deps(label: dict[Concept, int],

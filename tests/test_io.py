@@ -316,6 +316,17 @@ def test_load_kb_names_a_duplicate_document(units, couplings, problem):
     assert err.value.problems == [problem]
 
 
+@pytest.mark.parametrize("units, couplings, problem", [
+    ([5], [], "a unit document must be a string, got int"),
+    (["(unit u1)"], [5], "coupling document must be an object with a 'unit'"),
+], ids=["unit", "coupling"])
+def test_load_kb_rejects_a_document_of_the_wrong_type(units, couplings,
+                                                      problem):
+    with pytest.raises(LoadError) as err:
+        load_kb(units, couplings)
+    assert err.value.problems == [problem]
+
+
 _TWO_UNITS = ["(unit u1)\n(concept B)\n(individual y)",
               "(unit u2)\n(concept A)\n(individual x)"]
 

@@ -6,7 +6,7 @@ import pytest
 
 from ontomesh import peer, protocol, tableau
 from ontomesh.io import load_kb, parse_concept
-from ontomesh.model import Atom, Not, nnf
+from ontomesh.model import Atom, Bottom, Not, nnf
 from ontomesh.oracle import oracle_satisfiable
 from ontomesh.peer import InconclusiveError, LoopbackSession, Peer, PeerConfig
 from ontomesh.protocol import ProjectionCache, ProjectionPackage, ProtocolError
@@ -42,6 +42,32 @@ def test_local_inconsistency_becomes_hole():
 (instance a (and C D))
 """
     kb = load_kb([u1, "(unit u2)\n(concept X)"])
+    s = _session(kb)
+    holes = s.initialize()
+    assert holes == {"u1"}
+    assert sorted(s.peers) == ["u2"]
+    assert any(entry[0] == "hole" for entry in s.log)
+
+
+def test_self_inequality_becomes_hole():
+    """(different a a) is a local contradiction: a's node holds a Bottom
+    that rests on no branch point, so the isolated check fails."""
+    u1 = """
+(unit u1)
+(concept C)
+(individual a)
+(individual b)
+(instance a C)
+(different a a)
+(different a b)
+"""
+    kb = load_kb([u1, "(unit u2)\n(concept X)"])
+    for bound in (1, 2):
+        assert oracle_satisfiable(kb, None, domain_bound=bound) is False
+    g = tableau.init_graph(kb, "u1")
+    a, b = g.individuals["a"], g.individuals["b"]
+    assert g.nodes[a].label[Bottom("u1")] == 0
+    assert g.nodes[a].distinct == {b} and g.nodes[b].distinct == {a}
     s = _session(kb)
     holes = s.initialize()
     assert holes == {"u1"}

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ontomesh import tableau
 from ontomesh.io import load_kb, parse_concept
 from ontomesh.model import (
-    CONSTRUCTORS, Atom, Bottom, Not, Property, Top, by_key,
+    CONSTRUCTORS, And, Atom, Bottom, DistributedKB, Not, Property, Top,
+    UnitKB, by_key,
 )
 from ontomesh.oracle import oracle_satisfiable
-from ontomesh.peer import LoopbackSession, PeerConfig
-from ontomesh.protocol import handle_hole
+from ontomesh.peer import InconclusiveError, LoopbackSession, PeerConfig
+from ontomesh.protocol import ProtocolError, handle_hole
 from ontomesh.tableau import (
     BudgetExceeded, audit_complete_graph,
     collect_obligations, expand_local, expand_to_completion, init_graph,
@@ -24,7 +25,7 @@ from figures import (
     articles_linked_kb, articles_overlap_kb, chain_kb, conference_square_kb,
     conference_triangle_kb, transitive_abox_kb,
 )
-from strategies import concepts
+from strategies import ATOMS, NAMES, concepts
 
 
 def _kb(*units, couplings=()):
@@ -619,10 +620,14 @@ def test_memoized_steps_match_full_rescan_on_number_restrictions(
 
 def test_clash_record_made_while_blocked_holds_only_while_blocked(
         monkeypatch):
-    kb = _kb("(unit u1)\n(concept A)\n(role r)\n(sub A (some r A))")
+    """Every generated node holds the foreign u2:X, since the clash
+    oracle is asked only at a node with a foreign member."""
+    kb = _kb("(unit u1)\n(concept A)\n(role r)\n"
+             "(sub A (some r (and A u2:X)))", "(unit u2)\n(concept X)")
     ok, g = _local_sat(kb, "u1", "A")
     assert ok
     x = next(n for n in sorted(g.nodes) if g.blocked(n))
+    assert g.nodes[x].foreign
     asked = []
 
     def oracle(graph, node):
@@ -832,16 +837,121 @@ def test_worklist_closure_equals_the_step_by_step_loop(name, monkeypatch):
     assert closed
 
 
+# -- the conjunction tree in one action ----------------------------------------
+
+def _pairwise_and_rule(g, x):
+    """The and rule as it was: per action, the two operands of the first
+    And in key order that lacks one."""
+    node = g.nodes[x]
+    label = node.label
+    for c in node.members("and"):
+        if c.left not in label or c.right not in label:
+            return ("add", x, [c.left, c.right], label[c])
+    return None
+
+
+def _expansions(and_rule, run):
+    """run()'s result under and_rule, with the outcome, branch count and
+    final labels (members and dependency sets) of every expand_local call
+    it makes."""
+    seen = []
+    saved = tableau._and_rule, tableau.expand_local
+    expand = tableau.expand_local
+
+    def recorded(g):
+        ok = expand(g)
+        seen.append((ok, g.branch_count,
+                     {x: dict(n.label) for x, n in g.nodes.items()}))
+        return ok
+
+    tableau._and_rule, tableau.expand_local = and_rule, recorded
+    try:
+        return run(), seen
+    finally:
+        tableau._and_rule, tableau.expand_local = saved
+
+
+def _assert_same_as_pairwise(run):
+    result, seen = _expansions(tableau._and_rule, run)
+    assert (result, seen) == _expansions(_pairwise_and_rule, run)
+    return seen
+
+
+def _figure_tasks(kb):
+    """Consistency, then every unit's taxonomy when consistent, on a fresh
+    session."""
+    session = LoopbackSession(kb)
+    out = [session.check_consistency()[0]]
+    for unit in kb.unit_order if out[0] == "consistent" else ():
+        tax = session.classify(unit)
+        out.append((unit, tax.classes, tax.subsumptions))
+    return out
+
+
+@pytest.mark.parametrize("make_kb", [
+    articles_linked_kb, articles_overlap_kb, conference_square_kb,
+    conference_triangle_kb, chain_kb, lambda: transitive_abox_kb(None),
+    lambda: transitive_abox_kb(2, hedge=1)])
+def test_one_action_conjunctions_match_the_pairwise_rule_on_figures(make_kb):
+    """Same verdicts, and every expansion ends with the same labels, sets
+    and branch count, as under the pairwise rule."""
+    kb = make_kb()
+    seen = _assert_same_as_pairwise(lambda: _figure_tasks(kb))
+    assert seen and any(n for _, n, _ in seen)
+
+
+def _draw_verdict(kb, goal):
+    try:
+        return LoopbackSession(kb).is_satisfiable(goal)
+    except ProtocolError:
+        return "inconsistent"
+    except InconclusiveError:
+        return "budget"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.one_of(ATOMS, concepts(1, numbers=True)),
+                          concepts(2, numbers=True)), max_size=3),
+       concepts(3, numbers=True))
+def test_one_action_conjunctions_match_the_pairwise_rule_on_draws(gcis,
+                                                                  goal):
+    kb = DistributedKB.build({"u1": UnitKB(
+        unit="u1", concept_names=set(NAMES), role_names={"r"}, gcis=gcis)})
+    saved = tableau.MAX_NODES, tableau.MAX_BRANCHES
+    tableau.MAX_NODES, tableau.MAX_BRANCHES = 60, 1000
+    try:
+        _assert_same_as_pairwise(lambda: _draw_verdict(kb, goal))
+    finally:
+        tableau.MAX_NODES, tableau.MAX_BRANCHES = saved
+
+
+def test_and_rule_takes_the_tree_but_not_a_member_and():
+    """One action adds the tree below the first unexpanded And, on its
+    set, and stops at an And that is already a member."""
+    A, B, C, D = (Atom("u1", n) for n in "ABCD")
+    inner, member = And(B, C, "u1"), And(C, D, "u1")
+    top = And(A, And(inner, member, "u1"), "u1")
+    g = init_graph(_kb("(unit u1)\n(concept A)\n(concept B)\n"
+                       "(concept C)\n(concept D)"), "u1")
+    g.add_label(0, member, 2)
+    g.add_label(0, top, 1)
+    action = tableau._and_rule(g, 0)
+    assert action == ("add", 0, [A, And(inner, member, "u1"), inner, B, C], 1)
+    tableau._apply_action(g, action)
+    assert tableau._and_rule(g, 0) == ("add", 0, [D], 2)
+
+
 # -- clash counts and kind views ---------------------------------------------
 
 def _assert_derived_state(g):
-    """Each node's clash count and kind views equal a recount over its
-    label."""
+    """Each node's clash count, foreign count and kind views equal a
+    recount over its label."""
     for n in g.nodes.values():
         label = n.label
         assert n.clashes == sum(
             c.op == "bot" or c.op == "not" and c.operand in label
             for c in label), (n.id, label)
+        assert n.foreign == sum(c.home != g.unit for c in label)
         for op in CONSTRUCTORS:
             assert list(n.members(op)) == [
                 c for c in sorted(label, key=by_key) if c.op == op]
@@ -849,32 +959,57 @@ def _assert_derived_state(g):
 
 _MEMBERS = st.one_of(concepts(1, numbers=True),
                      st.sampled_from([Bottom("u1"), Top("u1")]))
+_FOREIGN = concepts(0, st.sampled_from([Atom("u2", "X"), Atom("u2", "Y")]))
+_NESTED = st.builds(lambda a, b, c: And(a, And(b, c, "u1"), "u1"),
+                    _MEMBERS, st.one_of(_MEMBERS, _FOREIGN), _MEMBERS)
 _STEPS = st.lists(st.one_of(
     st.tuples(st.just("add"), st.integers(0, 3), _MEMBERS,
               st.integers(0, 3)),
+    st.tuples(st.just("adds"), st.integers(0, 3),
+              st.lists(st.one_of(_MEMBERS, _FOREIGN, _NESTED), min_size=1,
+                       max_size=4), st.integers(0, 3)),
+    st.tuples(st.just("and"), st.integers(0, 3)),
     st.tuples(st.just("merge"), st.integers(0, 3), st.integers(1, 3)),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore"), st.integers(0, 3)),
-    st.tuples(st.just("clone"))), max_size=30)
+    st.tuples(st.just("clone"), st.booleans())), max_size=30)
+
+
+def _views_held(g):
+    """Per node: its views, and a copy of each of their groups."""
+    return {x: (n.views, {op: list(group)
+                          for op, group in n.views[1].items()})
+            for x, n in g.nodes.items()}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_STEPS)
 def test_clash_counts_and_views_match_a_recount(steps):
-    """Labels grow by add_label and _merge and shrink by restore; clones
-    copy the counts and share the views.  After every step, both equal a
-    recount."""
-    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(concept C)\n(role r)")
+    """Labels grow by add_label, add_labels, the and rule and _merge, and
+    shrink by restore; clones copy the counts and share the views.  After
+    every step, both equal a recount.  An addition to a node whose views
+    were current leaves them current before anything reads them, and a
+    clone's views stay as they were while the original grows."""
+    kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(concept C)\n(role r)",
+             "(unit u2)\n(concept X)\n(concept Y)")
     g = init_graph(kb, "u1")
     r = Property("r", "u1", "u1")
     for _ in range(3):
         g.add_edge(0, g.new_node("generated", parent=0).id, r)
-    marks = []
+    marks, clones = [], []
     for step in steps:
         ids = sorted(g.nodes)
-        if step[0] == "add":
-            _, x, c, deps = step
-            g.add_label(ids[x % len(ids)], c, deps)
+        if step[0] in ("add", "adds", "and"):
+            x = ids[step[1] % len(ids)]
+            n = g.nodes[x]
+            current = n.views[0] == n.lver
+            if step[0] == "add":
+                g.add_label(x, step[2], step[3])
+            elif step[0] == "adds":
+                g.add_labels(x, step[2], step[3])
+            elif action := tableau._and_rule(g, x):
+                tableau._apply_action(g, action)
+            assert not current or n.views[0] == n.lver
         elif step[0] == "merge":
             _, keep, gone = step
             keep, gone = ids[keep % len(ids)], ids[gone % len(ids)]
@@ -885,9 +1020,16 @@ def test_clash_counts_and_views_match_a_recount(steps):
         elif step[0] == "restore" and marks:
             del marks[step[1] % len(marks) + 1:]
             g.restore(marks[-1])
+        elif step[0] == "clone" and step[1]:
+            copy = g.clone()
+            clones.append((copy, _views_held(copy)))
         elif step[0] == "clone":
             g, marks = g.clone(), []
         _assert_derived_state(g)
+        for copy, held in clones:
+            assert _views_held(copy) == held
+            assert all(copy.nodes[x].views is views
+                       for x, (views, _) in held.items())
 
 
 A, B = Atom("u1", "A"), Atom("u1", "B")
