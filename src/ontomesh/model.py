@@ -481,7 +481,7 @@ class UnitKB:
     inequalities: list[tuple[str, str]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Violation:
     code: str
     message: str
@@ -726,40 +726,46 @@ class DistributedKB:
 
     # -- validation ----------------------------------------------------------
 
+    def check_concept(self, c: Concept, unit: UnitId) -> list[Violation]:
+        """The violations of concept c where unit uses it, as validate
+        finds them in the KB's own axioms."""
+        out: list[Violation] = []
+        for sc in subconcepts(nnf(c)):
+            if sc.op == "not":  # an NNF negation's atom is not its child
+                sc = sc.operand
+            if isinstance(sc, Atom):
+                if sc.unit not in self.units:
+                    out.append(Violation("unknown-unit",
+                                         f"{sc.key()} names unit {sc.unit}",
+                                         unit))
+                elif sc.name not in self.units[sc.unit].concept_names:
+                    out.append(Violation("unknown-concept",
+                                         f"{sc.key()} is not declared", unit))
+            elif isinstance(sc, Restriction):
+                p = sc.prop
+                if sc.filler.home != p.target:
+                    out.append(Violation(
+                        "filler-home",
+                        f"filler of {sc.key()} lives in {sc.filler.home}, "
+                        f"property targets {p.target}", unit))
+                if not self._property_declared(p):
+                    out.append(Violation("unknown-property",
+                                         f"{p.key()} is not declared", unit))
+                if isinstance(sc, NumberRestriction) and not self.is_simple(p):
+                    out.append(Violation(
+                        "non-simple",
+                        f"non-simple property in number restriction {sc.key()}",
+                        unit))
+        # an atom and its negation name it once; one order in every process
+        return sorted(set(out), key=str) if len(out) > 1 else out
+
     def validate(self) -> list[Violation]:
         """Structural checks; reasoning never starts on a KB with violations."""
         out: list[Violation] = []
 
-        def check_concept(c: Concept, unit: UnitId):
-            for sc in subconcepts(nnf(c)):
-                if isinstance(sc, Atom):
-                    if sc.unit not in self.units:
-                        out.append(Violation("unknown-unit",
-                                             f"{sc.key()} names unit {sc.unit}",
-                                             unit))
-                    elif sc.name not in self.units[sc.unit].concept_names:
-                        out.append(Violation("unknown-concept",
-                                             f"{sc.key()} is not declared", unit))
-                elif isinstance(sc, Restriction):
-                    p = sc.prop
-                    if sc.filler.home != p.target:
-                        out.append(Violation(
-                            "filler-home",
-                            f"filler of {sc.key()} lives in {sc.filler.home}, "
-                            f"property targets {p.target}", unit))
-                    if not self._property_declared(p):
-                        out.append(Violation("unknown-property",
-                                             f"{p.key()} is not declared", unit))
-                    if isinstance(sc, NumberRestriction) and not self.is_simple(p):
-                        out.append(Violation(
-                            "non-simple",
-                            f"non-simple property in number restriction {sc.key()}",
-                            unit))
-
         for u, ukb in self.units.items():
             for lhs, rhs in ukb.gcis:
-                check_concept(lhs, u)
-                check_concept(rhs, u)
+                out += self.check_concept(lhs, u) + self.check_concept(rhs, u)
             for sub_name, sup_name in ukb.role_inclusions:
                 for nm in (sub_name, sup_name):
                     if nm not in ukb.role_names:
@@ -771,7 +777,7 @@ class DistributedKB:
                                          f"transitive role {r} is not declared", u))
             for ind, c in ukb.concept_assertions:
                 self._check_individual(ind, u, out)
-                check_concept(c, u)
+                out += self.check_concept(c, u)
             for a, p, b in ukb.role_assertions:
                 self._check_individual(a, u, out)
                 self._check_individual(b, u, out)
@@ -794,8 +800,8 @@ class DistributedKB:
                 if br.source.unit == u:
                     out.append(Violation("bridge-source",
                                          f"{br.key()} source is not foreign", u))
-                check_concept(br.source, u)
-                check_concept(br.target, u)
+                out += self.check_concept(br.source, u)
+                out += self.check_concept(br.target, u)
             declared = {(l.name, l.target_unit) for l in coup.links}
             for ld in coup.links:
                 if ld.target_unit == u:

@@ -72,9 +72,12 @@ class Taxonomy:
     unit: UnitId
     classes: dict[str, tuple[str, ...]]       # representative -> members
     edges: set[tuple[str, str]]               # reduced (sub rep, sup rep)
-    subsumptions: set[tuple[str, str]]        # full, reflexive closure left out
+    subsumptions: set[tuple[str, str]]        # (sub rep, sup rep), transitive
+    rep_of: dict[str, str]                    # name -> its representative
 
     def is_below(self, sub: str, sup: str) -> bool:
+        """sub is subsumed by sup; either may be any member of its class."""
+        sub, sup = self.rep_of.get(sub, sub), self.rep_of.get(sup, sup)
         return sub == sup or (sub, sup) in self.subsumptions
 
     def roots(self) -> list[str]:
@@ -338,6 +341,11 @@ class LoopbackSession:
 
     def is_satisfiable(self, goal: Concept, _task: bool = True,
                        _models: list | None = None) -> bool:
+        """Whether goal has a model.  A caller's goal is first checked against
+        the full KB (check_concept), and a violation raises ProtocolError."""
+        if _task and (problems := self.kb.check_concept(goal, goal.home)):
+            raise ProtocolError(f"goal {goal.key()} is not valid: "
+                                + "; ".join(map(str, problems)))
         self.ensure_consistent()
         if _task:
             self._begin_task()
@@ -443,4 +451,4 @@ def _build_taxonomy(unit: UnitId, names: list[str],
                 reduced.discard((a, c))
                 break
     return Taxonomy(unit=unit, classes=classes, edges=reduced,
-                    subsumptions=strict)
+                    subsumptions=strict, rep_of=rep_of)

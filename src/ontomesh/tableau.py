@@ -14,9 +14,9 @@ the first action of the rules, in this order:
 - generate: exists and at-least create successors;
 - branch: or, choose, and at-most merges, each a branch point.
 An action is ("add", x, [concepts], deps) for a label addition,
-("generate", x, property, fillers, distinct, deps), ("merge", keep, gone),
-or ("branch", alternatives), whose alternatives are "add" or "merge"
-actions.
+("generate", x, property, filler, n, deps) for n successors holding the
+filler, pairwise distinct, ("merge", keep, gone), or ("branch",
+alternatives), whose alternatives are "add" or "merge" actions.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, JLC 1999;
 Baader & Sattler, Studia Logica 2001).  A dependency set is an int bitmask
@@ -98,17 +98,15 @@ lookup per member; the count of foreign members; and the views, the
 members of each constructor in key order, into which each new member is
 inserted.  So the clash check scans a label only when its clash count is
 not zero and asks the clash oracle only when its foreign count is not
-zero, and each rule reads only its own constructors' members.  The label
-version is a fresh clock value that each addition sets, so it names one
-label; views name the version they are current for, and members()
-regroups them only when they are not current.  Clones share views, since
+zero, and each rule reads only its own constructors' members.  Views have
+one writer, add_labels, and one undo, _unlabel; clones share them, since
 an insertion copies the groups it changes.  The members one action adds
-take one undo record, which puts back the label version, views and counts
-from before them, and one version bump.  The and rule adds the whole
-conjunction tree below an And in one action, and branch_order is computed
-once per interned concept.  The graph caches successor and
-value-restriction target lists as tuples, cleared at every edge-set change
-and every restore; a clone starts with none.
+take one undo record, which puts back the views and counts from before
+them, and one version bump.  The and rule adds the whole conjunction tree
+below an And in one action, and branch_order is computed once per
+interned concept.  The graph caches successor and value-restriction
+target lists as tuples, cleared at every edge-set change and every
+restore; a clone starts with none.
 
 A skeleton is closed once (close_deterministic): the ce rule and the local
 phase run at every node until nothing changes, with no clash check,
@@ -192,7 +190,7 @@ NO_CORR = CorrState()  # a node's state toward a unit it has none toward
 
 class Node:
     __slots__ = ("id", "label", "kind", "parent", "distinct", "corr", "ver",
-                 "lver", "cdeps", "clashes", "foreign", "views")
+                 "cdeps", "clashes", "foreign", "views")
 
     def __init__(self, id: NodeId, kind: str, parent: NodeId | None = None):
         self.id = id
@@ -205,15 +203,13 @@ class Node:
         self.distinct: set[NodeId] = set()
         self.corr: dict[UnitId, CorrState] = {}
         self.ver = 0
-        self.lver = 0  # the label's version: a clock value, 0 while empty
         self.cdeps = 0  # the dependency set of the node's creation
         self.clashes = 0  # Bottoms, and negations whose operand is a member
         self.foreign = 0  # members whose home is another unit
-        # (label version, the label grouped by op, each group in key
-        # order), current while its version is lver.  add_labels inserts
-        # into copies of the groups it changes, so a clone and an undo
-        # record share the views they hold and never see them change
-        self.views: tuple[int, dict[str, list[Concept]]] = (0, {})
+        # the label grouped by op, each group in key order.  add_labels
+        # inserts into copies of the groups it changes, so a clone and an
+        # undo record share the views they hold and never see them change
+        self.views: dict[str, list[Concept]] = {}
 
     def clone(self) -> "Node":
         n = Node(self.id, self.kind, self.parent)
@@ -221,7 +217,6 @@ class Node:
         n.distinct = set(self.distinct)
         n.corr = dict(self.corr)
         n.ver = self.ver
-        n.lver = self.lver
         n.cdeps = self.cdeps
         n.clashes = self.clashes
         n.foreign = self.foreign
@@ -229,17 +224,8 @@ class Node:
         return n
 
     def members(self, op: str) -> Sequence[Concept]:
-        """The label's members of one op, in key order.  add_labels keeps
-        current views current, so they are regrouped here only when they
-        were not current at an addition: a neighbour's change leaves
-        them be."""
-        lver, views = self.views
-        if lver != self.lver:
-            views = {}
-            for c in sorted(self.label, key=by_key):
-                views.setdefault(c.op, []).append(c)
-            self.views = self.lver, views
-        return views.get(op, ())
+        """The label's members of one op, in key order."""
+        return self.views.get(op, ())
 
 
 @dataclass(frozen=True)
@@ -270,9 +256,9 @@ def _set_ver(node: Node, ver: int) -> None:
 
 
 def _unlabel(node: Node, item: tuple) -> None:
-    """Undo one add_labels: drop its members and put back the label
-    version, views and counts from before it."""
-    members, node.lver, node.views, node.clashes, node.foreign = item
+    """Undo one add_labels: drop its members and put back the views and
+    counts from before it."""
+    members, node.views, node.clashes, node.foreign = item
     label = node.label
     for c in members:
         del label[c]
@@ -340,9 +326,9 @@ class CompletionGraph:
         order, depending on the branch points in deps; a member already
         there keeps its own set.  One lookup per member counts the clash
         pair it makes, if any, and one comparison its foreign home.  One
-        undo record and one version bump cover every member added, and
-        views that were current take the members in, so they stay
-        current.  True if any member was added."""
+        undo record and one version bump cover every member added, and each
+        is inserted into a copy of its op's view.  True if any member was
+        added."""
         n = self.nodes[node]
         label = n.label
         unit = self.unit
@@ -361,25 +347,21 @@ class CompletionGraph:
                 foreign += 1
         if not added:
             return False
-        lver, old = n.lver, n.views
-        self._trail.append((_unlabel, n, (added, lver, old, n.clashes,
-                                          n.foreign)))
+        old = n.views
+        self._trail.append((_unlabel, n, (added, old, n.clashes, n.foreign)))
         n.clashes, n.foreign = clashes, foreign
         self._bump_around(node)
-        n.lver = n.ver  # a fresh clock value
-        if old[0] == lver:
-            shared = old[1]
-            views = shared.copy()
-            for c in added:
-                op = c.op
-                group = views.get(op)
-                if group is None:
-                    views[op] = [c]
-                    continue
-                if group is shared.get(op):  # not yet copied
-                    group = views[op] = group.copy()
-                insort(group, c, key=by_key)
-            n.views = n.lver, views
+        views = old.copy()
+        for c in added:
+            op = c.op
+            group = views.get(op)
+            if group is None:
+                views[op] = [c]
+                continue
+            if group is old.get(op):  # not yet copied
+                group = views[op] = group.copy()
+            insort(group, c, key=by_key)
+        n.views = views
         return True
 
     def add_edge(self, a: NodeId, b: NodeId, prop: Property) -> bool:
@@ -831,7 +813,7 @@ def _exists_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
     for c in node.members("some"):
         if not _witnesses(g, x, c):
-            return ("generate", x, c.prop, [c.filler], False, node.label[c])
+            return ("generate", x, c.prop, c.filler, 1, node.label[c])
     return None
 
 
@@ -839,8 +821,7 @@ def _atleast_rule(g: CompletionGraph, x: NodeId):
     node = g.nodes[x]
     for c in node.members("min"):
         if not _has_distinct(g, _witnesses(g, x, c), c.n):
-            return ("generate", x, c.prop, [c.filler] * c.n, True,
-                    node.label[c])
+            return ("generate", x, c.prop, c.filler, c.n, node.label[c])
     return None
 
 
@@ -1024,17 +1005,18 @@ def _apply_action(g: CompletionGraph, action, bit: int = 0) -> None:
         _, x, concepts, deps = action
         g.add_labels(x, concepts, deps | bit)
     elif kind == "generate":
-        _, x, prop, fillers, distinct, deps = action
+        _, x, prop, filler, n, deps = action
+        if len(g.nodes) + n > MAX_NODES:
+            raise BudgetExceeded(f"more than {MAX_NODES} nodes")
         created = []
-        for filler in fillers:
+        for _ in range(n):
             node = g.new_node("generated", parent=x)
             node.cdeps = deps
             g.add_label(node.id, filler, deps)
             g.add_edge(x, node.id, prop)
             created.append(node.id)
-        if distinct:
-            for a, b in itertools.combinations(created, 2):
-                g.set_distinct(a, b)
+        for a, b in itertools.combinations(created, 2):
+            g.set_distinct(a, b)
     elif kind == "merge":
         _merge(g, action[1], action[2])
     elif kind == "branch":

@@ -260,6 +260,31 @@ def test_validate_names_the_unknown_atoms_of_a_bridge_rule():
     ]
 
 
+@pytest.mark.parametrize("axiom, problem", [
+    ("(sub A (not Typo))", "unknown-concept [u1]: u1:Typo is not declared"),
+    ("(sub A (not u9:X))", "unknown-unit [u1]: u9:X names unit u9"),
+    ("(instance a (not Typo))",
+     "unknown-concept [u1]: u1:Typo is not declared"),
+], ids=["gci", "unit", "assertion"])
+def test_validate_checks_the_operand_of_a_negation(axiom, problem):
+    with pytest.raises(LoadError) as exc:
+        load_kb([f"(unit u1)\n(concept A)\n(individual a)\n{axiom}"])
+    assert exc.value.problems == [problem]
+
+
+def test_validate_names_each_violation_of_a_concept_once_in_one_order():
+    with pytest.raises(LoadError) as exc:
+        load_kb(["(unit u1)\n(concept A)\n(sub A (and T1 (or (not T4) "
+                 "(and (not T1) (and T3 (some zz (or T2 T4)))))))"])
+    assert exc.value.problems == [
+        "unknown-concept [u1]: u1:T1 is not declared",
+        "unknown-concept [u1]: u1:T2 is not declared",
+        "unknown-concept [u1]: u1:T3 is not declared",
+        "unknown-concept [u1]: u1:T4 is not declared",
+        "unknown-property [u1]: u1:zz is not declared",
+    ]
+
+
 _U2 = "(unit u2)\n(concept A)\n(concept B)\n(individual x)"
 
 

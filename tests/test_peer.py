@@ -201,6 +201,16 @@ def test_classification_reduces_a_chain_to_its_covering_edges():
     assert not tax.is_below("C", "A")
 
 
+def test_is_below_reads_any_member_of_a_class():
+    kb = load_kb(["(unit u1)\n(concept A)\n(concept B)\n(concept C)\n"
+                  "(equiv A B)\n(sub B C)"])
+    tax = _session(kb).classify("u1")
+    assert tax.classes == {"A": ("A", "B"), "C": ("C",)}
+    below = {(a, b) for a in "ABC" for b in "ABC" if tax.is_below(a, b)}
+    assert below == {("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"),
+                     ("A", "C"), ("B", "C"), ("C", "C")}
+
+
 # -- hole fallback ---------------------------------------------------------------
 
 def test_hole_releases_constraint():
@@ -293,6 +303,28 @@ def test_classify_needs_a_ready_unit(unit):
         s.classify(unit)
     with pytest.raises(ProtocolError):
         s.is_satisfiable(Atom(unit, "C"))
+
+
+def _sat(text):
+    return lambda s: s.is_satisfiable(parse_concept(text, "u1"))
+
+
+@pytest.mark.parametrize("ask, problem", [
+    (lambda s: s.is_subsumed(Atom("u1", "A"), Atom("u1", "Typo")),
+     "unknown-concept [u1]: u1:Typo is not declared"),
+    (_sat("(some zz A)"), "unknown-property [u1]: u1:zz is not declared"),
+    (_sat("(and A u9:X)"), "unknown-unit [u1]: u9:X names unit u9"),
+    (_sat("(max 1 r A)"), "non-simple [u1]: non-simple property in number "
+                          "restriction (max 1 u1:r u1:A)"),
+], ids=["subsumer", "role", "unit", "non-simple"])
+def test_a_task_goal_is_validated_against_the_kb(ask, problem):
+    kb = load_kb(["(unit u1)\n(concept A)\n(role r)\n(transitive r)"])
+    s = _session(kb)
+    with pytest.raises(ProtocolError) as exc:
+        ask(s)
+    assert str(exc.value).endswith(f" is not valid: {problem}")
+    assert s.is_satisfiable(parse_concept("(and A (some r A))", "u1"))
+    assert not s.is_satisfiable(parse_concept("(and A (not A))", "u1"))
 
 
 # -- metrics and cache -------------------------------------------------------------

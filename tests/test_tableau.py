@@ -344,6 +344,16 @@ def test_budget_exceeded_is_distinct(monkeypatch):
         expand_to_completion(g)
 
 
+def test_at_least_checks_the_node_budget_before_it_creates_a_node(
+        monkeypatch):
+    monkeypatch.setattr(tableau, "MAX_NODES", 10)
+    kb = _kb("(unit u1)\n(concept A)\n(role r)")
+    g = init_graph(kb, "u1", parse_concept("(min 50 r A)", "u1"))
+    with pytest.raises(BudgetExceeded, match="more than 10 nodes"):
+        expand_to_completion(g)
+    assert sorted(g.nodes) == [0]
+
+
 # -- obligations ---------------------------------------------------------------
 
 def test_no_obligations_for_local_labels():
@@ -539,11 +549,23 @@ def test_single_unit_agrees_with_oracle(text, expected):
 
 # -- incremental expansion -------------------------------------------------------
 
+def _regrouped(label):
+    """A label's members grouped by op, each group in key order: what a
+    node's views must hold."""
+    views = {}
+    for c in sorted(label, key=by_key):
+        views.setdefault(c.op, []).append(c)
+    return views
+
+
 def _drop_caches(g):
-    """Forget every node's views and the graph's successor lists, so that
-    the next read computes them afresh."""
+    """Rebuild every node's views from its label, after asserting that the
+    kept ones equal the rebuild, and forget the graph's successor lists, so
+    that the next read computes them afresh."""
     for n in g.nodes.values():
-        n.views = (-1, {})
+        views = _regrouped(n.label)
+        assert n.views == views, n.id
+        n.views = views
     g._succ.clear()
 
 
@@ -551,8 +573,9 @@ def _drop_caches(g):
 def checked_steps(monkeypatch):
     """Compare every memoized clash and action of expand_local with a full
     rescan of the same graph (first_clash, and _find_action with its rule
-    memo emptied), made after the memoized one with every view and
-    successor list dropped, so that a stale cache shows as a difference.
+    memo emptied), made after the memoized one with every view checked and
+    rebuilt and every successor list dropped, so that a stale cache fails
+    or shows as a difference.
     Counts the steps it checked."""
     steps = Counter()
     find_action, sweep = tableau._find_action, tableau._sweep
@@ -977,8 +1000,7 @@ _STEPS = st.lists(st.one_of(
 
 def _views_held(g):
     """Per node: its views, and a copy of each of their groups."""
-    return {x: (n.views, {op: list(group)
-                          for op, group in n.views[1].items()})
+    return {x: (n.views, {op: list(group) for op, group in n.views.items()})
             for x, n in g.nodes.items()}
 
 
@@ -987,9 +1009,8 @@ def _views_held(g):
 def test_clash_counts_and_views_match_a_recount(steps):
     """Labels grow by add_label, add_labels, the and rule and _merge, and
     shrink by restore; clones copy the counts and share the views.  After
-    every step, both equal a recount.  An addition to a node whose views
-    were current leaves them current before anything reads them, and a
-    clone's views stay as they were while the original grows."""
+    every step, both equal a recount, and a clone's views stay as they
+    were while the original grows."""
     kb = _kb("(unit u1)\n(concept A)\n(concept B)\n(concept C)\n(role r)",
              "(unit u2)\n(concept X)\n(concept Y)")
     g = init_graph(kb, "u1")
@@ -1001,15 +1022,12 @@ def test_clash_counts_and_views_match_a_recount(steps):
         ids = sorted(g.nodes)
         if step[0] in ("add", "adds", "and"):
             x = ids[step[1] % len(ids)]
-            n = g.nodes[x]
-            current = n.views[0] == n.lver
             if step[0] == "add":
                 g.add_label(x, step[2], step[3])
             elif step[0] == "adds":
                 g.add_labels(x, step[2], step[3])
             elif action := tableau._and_rule(g, x):
                 tableau._apply_action(g, action)
-            assert not current or n.views[0] == n.lver
         elif step[0] == "merge":
             _, keep, gone = step
             keep, gone = ids[keep % len(ids)], ids[gone % len(ids)]
@@ -1081,7 +1099,7 @@ def _assert_state(g, state):
             now = n.corr[u]
             assert (now.target_individual, now.requester, now.sent_fragment) \
                 == (st.target_individual, st.requester, st.sent_fragment)
-        assert n.ver == old.ver and n.lver == old.lver
+        assert n.ver == old.ver and n.views == old.views
         assert n.cdeps == old.cdeps
         assert n.clashes == old.clashes
     assert g.out_e == out_e and g.in_e == in_e
